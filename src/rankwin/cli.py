@@ -13,11 +13,10 @@ import logging
 import sys
 
 from rankwin.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from rankwin.errors import ConfigError, DataError, DomainError
-from rankwin.experiments import (ExperimentManifest, file_digest, inspect_run,
-                                 read_manifest, run_build_refdb, run_eval,
-                                 run_simulate, run_sweep, run_train)
-from rankwin.metrics import format_report
+from rankwin.errors import RankwinError
+from rankwin.experiments import (ExperimentManifest, eval_report, file_digest,
+                                 inspect_run, read_manifest, run_build_refdb,
+                                 run_eval, run_simulate, run_sweep, run_train)
 from rankwin.windows import RankRange
 
 log = logging.getLogger("rankwin")
@@ -60,9 +59,29 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
         oracle_noise_std=getattr(args, "noise_std", 0.0))
 
 
+def _rank_bounds(text: str) -> tuple[int, int]:
+    """``lo:hi`` as two ints (argparse type); RankRange validates the order."""
+    try:
+        lo, hi = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi integers, got {text!r}") from None
+    return lo, hi
+
+
+def _cells(text: str) -> list[tuple[str, float]]:
+    """``scale:tau[,scale:tau...]`` as (scale, tau) pairs (argparse type)."""
+    cells = []
+    for cell in text.split(","):
+        kind, _, tau = cell.partition(":")
+        try:
+            cells.append((kind, float(tau)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected scale:tau, got {cell!r}") from None
+    return cells
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    lo, hi = (int(v) for v in args.domain.split(":"))
-    spec = SyntheticSpec(n=args.n, rank_domain=RankRange(lo, hi),
+    spec = SyntheticSpec(n=args.n, rank_domain=RankRange(*args.domain),
                          feature_dim=args.feature_dim,
                          nonlinearity=args.nonlinearity,
                          noise_std=args.noise_std, hetero=args.hetero,
@@ -88,29 +107,20 @@ def _cmd_build_refdb(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     values = run_eval(args.dataset, args.out_dir, split=args.split,
                       scheme=args.scheme, scheme_seed=args.scheme_seed)
-    manifest = read_manifest(args.out_dir)
-    report = {"run_id": manifest.run_id, "split": args.split}
-    report.update({k: ("" if v is None else v) for k, v in values.items()})
-    sys.stdout.write(format_report(report))
+    sys.stdout.write(eval_report(read_manifest(args.out_dir).run_id, args.split, values))
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     manifest = _manifest_from_args(args)
     values = run_simulate(args.dataset, manifest, args.out_dir, split=args.split)
-    report = {"run_id": manifest.run_id, "split": args.split}
-    report.update({k: ("" if v is None else v) for k, v in values.items()})
-    sys.stdout.write(format_report(report))
+    sys.stdout.write(eval_report(manifest.run_id, args.split, values))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _manifest_from_args(args)
-    cells = []
-    for cell in args.cells.split(","):
-        kind, tau = cell.split(":")
-        cells.append((kind, float(tau)))
-    path = run_sweep(args.dataset, args.out_dir, base, cells, split=args.split)
+    path = run_sweep(args.dataset, args.out_dir, base, args.cells, split=args.split)
     log.info("wrote %s", path)
     with open(path) as fh:
         sys.stdout.write(fh.read())
@@ -131,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=4000)
-    p.add_argument("--domain", default="1:80", help="lo:hi rank range")
+    p.add_argument("--domain", type=_rank_bounds, default="1:80", help="lo:hi rank range")
     p.add_argument("--feature-dim", type=int, default=16)
     p.add_argument("--nonlinearity", choices=("linear", "log", "smoothstep"),
                    default="log")
@@ -168,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train+eval a grid of (scale, tau) cells")
     _add_common(p)
     _add_manifest_flags(p)
-    p.add_argument("--cells", required=True,
+    p.add_argument("--cells", type=_cells, required=True,
                    help="comma list of scale:tau, e.g. geo:0.1,ari:3")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.set_defaults(func=_cmd_sweep)
@@ -186,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                         stream=sys.stderr)
     try:
         return args.func(args)
-    except (ConfigError, DataError, DomainError, FileNotFoundError) as exc:
+    except (RankwinError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return 2
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import os
-import tempfile
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rankwin.errors import ConfigError, DataError
+from rankwin.fileio import atomic_open
 from rankwin.windows import RankRange
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "Dataset",
     "SyntheticSpec",
     "assign_split",
+    "group_by_rank",
     "load_dataset",
     "save_dataset",
     "generate_synthetic",
@@ -73,11 +74,14 @@ class Dataset:
 
     def rank_index(self) -> dict[int, np.ndarray]:
         """Positions of instances at each populated rank, in id order."""
-        order = np.lexsort((np.array(self.ids),))
-        index: dict[int, list[int]] = {}
-        for pos in order:
-            index.setdefault(int(self.ranks[pos]), []).append(int(pos))
-        return {rank: np.array(positions) for rank, positions in index.items()}
+        return group_by_rank(self.ids, self.ranks)
+
+
+def group_by_rank(ids, ranks: np.ndarray) -> dict[int, np.ndarray]:
+    """``{rank: positions}`` for every populated rank, positions in id order."""
+    order = np.lexsort((np.array(ids), ranks))
+    cuts = np.flatnonzero(np.diff(ranks[order])) + 1
+    return {int(ranks[chunk[0]]): chunk for chunk in np.split(order, cuts) if len(chunk)}
 
 
 def assign_split(instance_id: str, seed: int) -> str:
@@ -192,30 +196,21 @@ def load_dataset(path: str, *, split_seed: int = 0,
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write a dataset in the load format (split column always included)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["id", "rank"]
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["id", "rank"]
+        if dataset.has_sigma:
+            header.append("sigma")
+        header.append("split")
+        header.extend(f"f{i}" for i in range(dataset.feature_dim))
+        writer.writerow(header)
+        for i in range(len(dataset)):
+            row = [dataset.ids[i], int(dataset.ranks[i])]
             if dataset.has_sigma:
-                header.append("sigma")
-            header.append("split")
-            header.extend(f"f{i}" for i in range(dataset.feature_dim))
-            writer.writerow(header)
-            for i in range(len(dataset)):
-                row = [dataset.ids[i], int(dataset.ranks[i])]
-                if dataset.has_sigma:
-                    row.append(repr(float(dataset.sigmas[i])))
-                row.append(str(dataset.splits[i]))
-                row.extend(repr(float(v)) for v in dataset.features[i])
-                writer.writerow(row)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+                row.append(repr(float(dataset.sigmas[i])))
+            row.append(str(dataset.splits[i]))
+            row.extend(repr(float(v)) for v in dataset.features[i])
+            writer.writerow(row)
 
 
 @dataclass(frozen=True)
@@ -237,8 +232,8 @@ class SyntheticSpec:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.nonlinearity not in NONLINEARITIES:
             raise ConfigError(f"nonlinearity must be one of {NONLINEARITIES}")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -12,6 +12,7 @@ overlap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -54,8 +55,8 @@ class OracleRegressor:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

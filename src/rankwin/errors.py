@@ -1,27 +1,32 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; all derive from RankwinError."""
 
 
-class DomainError(ValueError):
+class RankwinError(Exception):
+    """Base of every error the package raises on purpose; each subclass also
+    keeps a builtin base (ValueError, ArithmeticError, RuntimeError)."""
+
+
+class DomainError(RankwinError, ValueError):
     """Inputs outside an operation's mathematical domain."""
 
 
-class ConfigError(ValueError):
+class ConfigError(RankwinError, ValueError):
     """Invalid configuration: partition sizing, bad dimensions, bad flags."""
 
 
-class ShapeError(ValueError):
+class ShapeError(RankwinError, ValueError):
     """Array dimensions do not match what an operation expects."""
 
 
-class DataError(ValueError):
+class DataError(RankwinError, ValueError):
     """Malformed or non-finite data."""
 
 
-class NumericalError(ArithmeticError):
+class NumericalError(RankwinError, ArithmeticError):
     """Non-finite values appeared in the middle of a computation."""
 
 
-class SelectionError(RuntimeError):
+class SelectionError(RankwinError, RuntimeError):
     """No usable reference pair exists for a window."""
 
 

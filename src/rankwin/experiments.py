@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import zlib
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 from rankwin.data import Dataset, load_dataset
 from rankwin.engine import OracleRegressor, estimate_rank
 from rankwin.errors import ConfigError, DigestMismatchError
+from rankwin.fileio import atomic_open
 from rankwin.metrics import (EvalRecord, accuracy, cumulative_score,
                              epsilon_error, format_report, mae)
 from rankwin.nets import (EncoderSpec, HeadSpec, RelativeRegressor,
@@ -43,6 +43,7 @@ __all__ = [
     "run_simulate",
     "run_sweep",
     "inspect_run",
+    "eval_report",
     "METRICS_COLUMNS",
 ]
 
@@ -63,16 +64,8 @@ def file_digest(path: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -123,10 +116,6 @@ class ExperimentManifest:
     @property
     def selection(self) -> SelectionScheme:
         return SelectionScheme(SelectionKind(self.scheme), self.scheme_seed)
-
-    @property
-    def encoder_spec_dims(self) -> tuple[tuple[int, ...], int]:
-        return self.encoder_hidden, self.encoded_dim
 
     def make_groups(self) -> list[RankGroup] | None:
         if self.partition == "none":
@@ -220,11 +209,13 @@ def run_train(dataset_path: str, manifest: ExperimentManifest, out_dir: str) -> 
 
 def load_models(out_dir: str, manifest: ExperimentManifest,
                 ) -> tuple[RelativeRegressor, list[RelativeRegressor]]:
-    global_model, _ = load_checkpoint(os.path.join(out_dir, "global.npz"))
+    """The run's checkpoints; each must carry ``manifest.run_id``."""
+    run_id = manifest.run_id
+    global_model, _ = load_checkpoint(os.path.join(out_dir, "global.npz"), run_id)
     groups = manifest.make_groups()
     local_models = []
     for i in range(len(groups) if groups else 0):
-        model, _ = load_checkpoint(os.path.join(out_dir, f"local{i}.npz"))
+        model, _ = load_checkpoint(os.path.join(out_dir, f"local{i}.npz"), run_id)
         local_models.append(model)
     return global_model, local_models
 
@@ -282,6 +273,13 @@ def _metrics_csv(run_id: str, split: str, values: dict[str, float | None]) -> st
     return ",".join(METRICS_COLUMNS) + "\n" + ",".join(cells) + "\n"
 
 
+def eval_report(run_id: str, split: str, values: dict[str, float | None]) -> str:
+    """The ``metrics.txt`` block: run_id, split, then every metric ('' if undefined)."""
+    report = {"run_id": run_id, "split": split}
+    report.update({k: ("" if v is None else v) for k, v in values.items()})
+    return format_report(report)
+
+
 def _write_eval_outputs(out_dir: str, run_id: str, split: str, records, traces,
                         max_iter: int, prefix: str = "") -> dict[str, float | None]:
     has_sigma = all(r.sigma is not None for r in records)
@@ -295,9 +293,8 @@ def _write_eval_outputs(out_dir: str, run_id: str, split: str, records, traces,
     }
     atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.csv"),
                       _metrics_csv(run_id, split, values))
-    report = {"run_id": run_id, "split": split}
-    report.update({k: ("" if v is None else v) for k, v in values.items()})
-    atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.txt"), format_report(report))
+    atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.txt"),
+                      eval_report(run_id, split, values))
     trace_lines = []
     for record, (truth, trace) in zip(records, traces):
         row = {"run_id": run_id, "id": record.instance_id, "truth": truth}
@@ -317,22 +314,27 @@ def _write_eval_outputs(out_dir: str, run_id: str, split: str, records, traces,
 def run_eval(dataset_path: str, out_dir: str, split: str = "test",
              scheme: str | None = None, scheme_seed: int | None = None,
              prefix: str = "") -> dict[str, float | None]:
-    """Run inference over a split with the stored models and database."""
-    manifest = read_manifest(out_dir)
+    """Run inference over a split with the stored models and database.
+
+    Artifacts are checked against the stored manifest's run_id; a scheme
+    override only changes the run_id written to the outputs.
+    """
+    stored = read_manifest(out_dir)
+    manifest = stored
     if scheme is not None or scheme_seed is not None:
         manifest = dataclasses.replace(
-            manifest,
-            scheme=scheme if scheme is not None else manifest.scheme,
-            scheme_seed=scheme_seed if scheme_seed is not None else manifest.scheme_seed)
+            stored,
+            scheme=scheme if scheme is not None else stored.scheme,
+            scheme_seed=scheme_seed if scheme_seed is not None else stored.scheme_seed)
     dataset = _check_dataset(manifest, dataset_path)
     eval_ds = dataset.subset(split)
     if len(eval_ds) == 0:
         raise ConfigError(f"dataset has no {split!r} split")
-    global_model, local_models = load_models(out_dir, manifest)
+    global_model, local_models = load_models(out_dir, stored)
     expected = {TAG_GLOBAL: model_digest(global_model)}
     for i, model in enumerate(local_models):
         expected[local_tag(i)] = model_digest(model)
-    db = load_database(os.path.join(out_dir, REFDB_NAME), expected)
+    db = load_database(os.path.join(out_dir, REFDB_NAME), expected, run_id=stored.run_id)
     groups = manifest.make_groups()
     records, traces = [], []
     for i in range(len(eval_ds)):
@@ -410,11 +412,12 @@ def inspect_run(out_dir: str) -> str:
         db = load_database(db_path)
         lines += ["", f"reference database: {len(db)} instances"]
         for tag in db.tags:
-            n_windows = len(db.tables.get(tag, {}))
+            table = db.tables.get(tag)
+            n_windows = len(table) if table is not None else 0
             lines.append(f"  {tag}: digest {db.digests[tag][:12]} windows {n_windows}")
-            if tag in db.tables:
-                gammas = [e.min_gamma for e in db.tables[tag].values()]
-                lines.append(f"    min-gamma range [{min(gammas):.4f}, {max(gammas):.4f}]")
+            if table is not None:
+                gammas = table.gammas[:, 0]
+                lines.append(f"    min-gamma range [{gammas.min():.4f}, {gammas.max():.4f}]")
     for name in sorted(os.listdir(out_dir)):
         if name.endswith("metrics.csv"):
             with open(os.path.join(out_dir, name)) as fh:

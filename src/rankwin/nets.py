@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from rankwin.errors import ConfigError, DataError, NumericalError, ShapeError
+from rankwin.errors import (ConfigError, DataError, DigestMismatchError,
+                            NumericalError, ShapeError)
+from rankwin.fileio import atomic_open
 
 __all__ = [
     "EncoderSpec",
@@ -95,17 +95,11 @@ class _Mlp:
             return np.tanh(z)
         return z
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        a = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = self._activate(a @ w + b, i)
-        return a
-
-    def forward_cached(self, x: np.ndarray, check: str | None = None):
-        """Forward pass keeping every activation for the backward pass."""
+    def forward_cached(self, x: np.ndarray, check: str | None = None, start: int = 0):
+        """Forward pass from layer ``start``; returns the output and every activation."""
         acts = [x]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = self._activate(acts[-1] @ w + b, i)
+        for i in range(start, len(self.weights)):
+            a = self._activate(acts[-1] @ self.weights[i] + self.biases[i], i)
             if check is not None and not np.all(np.isfinite(a)):
                 raise NumericalError(f"non-finite activations after {check} layer {i}")
             acts.append(a)
@@ -114,11 +108,10 @@ class _Mlp:
     def backward(self, acts: list[np.ndarray], grad_out: np.ndarray):
         """Gradients of a scalar loss given d(loss)/d(output).
 
-        Returns (d(loss)/d(input), per-layer weight grads, per-layer bias grads).
+        Returns (d(loss)/d(input), parameter grads aligned with ``parameters()``).
         """
         n_layers = len(self.weights)
-        grads_w: list[np.ndarray] = [np.empty(0)] * n_layers
-        grads_b: list[np.ndarray] = [np.empty(0)] * n_layers
+        grads: list[np.ndarray] = [np.empty(0)] * (2 * n_layers)
         g = grad_out
         for i in reversed(range(n_layers)):
             a_in, a_out = acts[i], acts[i + 1]
@@ -126,10 +119,10 @@ class _Mlp:
                 g = g * (1.0 - a_out * a_out)
             elif i < n_layers - 1:
                 g = g * (a_out > 0.0)
-            grads_w[i] = a_in.T @ g
-            grads_b[i] = g.sum(axis=0)
+            grads[2 * i] = a_in.T @ g
+            grads[2 * i + 1] = g.sum(axis=0)
             g = g @ self.weights[i].T
-        return g, grads_w, grads_b
+        return g, grads
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -170,14 +163,14 @@ class RelativeRegressor:
             a = a[None, :]
         if a.ndim != 2 or a.shape[1] != dim:
             raise ShapeError(f"{name} must have {dim} columns, got shape {np.asarray(arr).shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DataError(f"non-finite values in {name}")
         return a, squeezed
 
     def encode(self, features) -> np.ndarray:
         """Embed raw feature vectors; accepts a single vector or a batch."""
         a, squeezed = self._as_batch(features, self.input_dim, "features")
-        out = self._encoder.forward(a)
+        out, _ = self._encoder.forward_cached(a)
         return out[0] if squeezed else out
 
     def regress(self, f_x, f_y1, f_y2):
@@ -187,7 +180,7 @@ class RelativeRegressor:
         y2, s2 = self._as_batch(f_y2, self.feature_dim, "f_y2")
         if not (len(x) == len(y1) == len(y2)):
             raise ShapeError(f"batch sizes differ: {len(x)}, {len(y1)}, {len(y2)}")
-        out = self._head.forward(np.hstack([x, y1, y2]))[:, 0]
+        out = self._head.forward_cached(np.hstack([x, y1, y2]))[0][:, 0]
         return float(out[0]) if (sx and s1 and s2) else out
 
     def regress_grid(self, f_x: np.ndarray, f_y1: np.ndarray, f_y2: np.ndarray) -> np.ndarray:
@@ -208,19 +201,11 @@ class RelativeRegressor:
         part_refs = y1 @ w1[d:2 * d] + y2 @ w1[2 * d:] + b1
         h1 = np.maximum(part_x[None, :, :] + part_refs[:, None, :], 0.0)
         m, n, width = h1.shape
-        h1 = h1.reshape(m * n, width)
-        h2 = np.maximum(h1 @ self._head.weights[1] + self._head.biases[1], 0.0)
-        out = np.tanh(h2 @ self._head.weights[2] + self._head.biases[2])
+        out, _ = self._head.forward_cached(h1.reshape(m * n, width), start=1)
         return out[:, 0].reshape(m, n)
 
-    def loss_and_gradients(self, x, y1, y2, rho_true,
-                           branch_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)):
-        """Mean squared error over a triplet batch and exact parameter gradients.
-
-        ``branch_weights`` scales the gradient flowing back into the encoder
-        from each branch (input, low reference, high reference); the default
-        leaves all three on, which is normal training.
-        """
+    def loss_and_gradients(self, x, y1, y2, rho_true):
+        """Mean squared error over a triplet batch and exact parameter gradients."""
         xb, _ = self._as_batch(x, self.input_dim, "x")
         y1b, _ = self._as_batch(y1, self.input_dim, "y1")
         y2b, _ = self._as_batch(y2, self.input_dim, "y2")
@@ -241,16 +226,9 @@ class RelativeRegressor:
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss")
         grad_pred = (2.0 / n) * (pred - rho)
-        grad_in, head_w, head_b = self._head.backward(head_acts, grad_pred[:, None])
-        parts = np.split(grad_in, 3, axis=1)
-        enc_grad_out = np.vstack([w * p for w, p in zip(branch_weights, parts)])
-        _, enc_w, enc_b = self._encoder.backward(enc_acts, enc_grad_out)
-        grads = []
-        for w, b in zip(enc_w, enc_b):
-            grads.extend((w, b))
-        for w, b in zip(head_w, head_b):
-            grads.extend((w, b))
-        return loss, grads
+        grad_in, head_grads = self._head.backward(head_acts, grad_pred[:, None])
+        _, enc_grads = self._encoder.backward(enc_acts, np.vstack(np.split(grad_in, 3, axis=1)))
+        return loss, enc_grads + head_grads
 
 
 @dataclass
@@ -312,20 +290,6 @@ def model_digest(model: RelativeRegressor) -> str:
     return h.hexdigest()
 
 
-def _atomic_savez(path: str, **arrays) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp.npz")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def save_checkpoint(model: RelativeRegressor, path: str,
                     optimizer: AdamState | None = None,
                     run_id: str | None = None) -> None:
@@ -346,15 +310,23 @@ def save_checkpoint(model: RelativeRegressor, path: str,
         for i, (m, v) in enumerate(zip(optimizer.m, optimizer.v)):
             arrays[f"adam_m_{i:03d}"] = m
             arrays[f"adam_v_{i:03d}"] = v
-    _atomic_savez(path, **arrays)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
-def load_checkpoint(path: str) -> tuple[RelativeRegressor, AdamState | None]:
-    """Rebuild a model bit-exactly from :func:`save_checkpoint` output."""
+def load_checkpoint(path: str, run_id: str | None = None,
+                    ) -> tuple[RelativeRegressor, AdamState | None]:
+    """Rebuild a model bit-exactly from :func:`save_checkpoint` output.
+
+    With ``run_id`` the checkpoint must carry that run stamp.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {meta.get('format_version')}")
+        if run_id is not None and meta.get("run_id") != run_id:
+            raise DigestMismatchError(
+                f"{path} belongs to run {meta.get('run_id')}, expected {run_id}")
         enc = meta["encoder"]
         model = RelativeRegressor(
             EncoderSpec(enc["input_dim"], tuple(enc["hidden_dims"]), enc["output_dim"]),

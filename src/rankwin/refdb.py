@@ -12,26 +12,26 @@ from __future__ import annotations
 
 import enum
 import json
-import os
-import tempfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from rankwin.data import Dataset
+from rankwin.data import Dataset, group_by_rank
 from rankwin.errors import (ConfigError, DigestMismatchError, SelectionError,
                             ShapeError)
+from rankwin.fileio import atomic_open
 from rankwin.nets import RelativeRegressor, model_digest
 from rankwin.partition import RankGroup
-from rankwin.windows import RankRange, RankScale, ScaleKind, SearchWindow, make_window
+from rankwin.windows import (RankRange, RankScale, ScaleKind, SearchWindow,
+                             make_window, relative_rank_array)
 
 __all__ = [
     "SelectionKind",
     "SelectionScheme",
-    "WindowEntry",
+    "PairTable",
+    "TABLE_COLUMNS",
     "ReferenceDatabase",
-    "gamma_error",
     "build_database",
     "select_references",
     "knn_ranks",
@@ -79,21 +79,29 @@ class SelectionScheme:
             raise ConfigError(f"scheme seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class WindowEntry:
-    """Precomputed pair choices for one window center of one model."""
+TABLE_COLUMNS = ("center", "low", "high", "low_rank", "high_rank",
+                 "min_i", "min_j", "max_i", "max_j", "n_pairs_scored", "pool_size")
 
-    center: int
-    low: int
-    high: int
-    low_rank: int
-    high_rank: int
-    min_pair: tuple[int, int]
-    min_gamma: float
-    max_pair: tuple[int, int]
-    max_gamma: float
-    n_pairs_scored: int
-    pool_size: int
+
+@dataclass(eq=False)
+class PairTable:
+    """Precomputed pair choices for one model, one row per window center.
+
+    ``ints`` is (n, 11) int64 in :data:`TABLE_COLUMNS` order and ``gammas``
+    is (n, 2) float64 holding the min and max pair error; rows are sorted by
+    center.  ``rows`` maps a center to its ints row as Python ints, so a
+    lookup does no numpy work.
+    """
+
+    ints: np.ndarray
+    gammas: np.ndarray
+    rows: dict[int, list[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.rows = {row[0]: row for row in self.ints.tolist()}
+
+    def __len__(self) -> int:
+        return len(self.ints)
 
 
 @dataclass
@@ -107,7 +115,7 @@ class ReferenceDatabase:
     alpha: int
     features: dict[str, np.ndarray]
     digests: dict[str, str]
-    tables: dict[str, dict[int, WindowEntry]]
+    tables: dict[str, PairTable]
     pool_cap: int | None
     pair_cap: int | None
     seed: int
@@ -118,10 +126,7 @@ class ReferenceDatabase:
         inverse = np.empty(len(order), dtype=np.int64)
         inverse[order] = np.arange(len(order))
         self._id_rank_order = inverse
-        index: dict[int, list[int]] = {}
-        for pos in order:
-            index.setdefault(int(self.ranks[pos]), []).append(int(pos))
-        self._rank_index = {r: np.array(p) for r, p in index.items()}
+        self._rank_index = group_by_rank(self.ids, self.ranks)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -139,40 +144,6 @@ class ReferenceDatabase:
 
     def populated_ranks(self) -> np.ndarray:
         return np.array(sorted(self._rank_index), dtype=np.int64)
-
-
-def _axis(values: np.ndarray, scale: RankScale) -> np.ndarray:
-    return np.log(values) if scale.is_geometric else np.asarray(values, dtype=np.float64)
-
-
-def _true_rho(pool_ranks: np.ndarray, low_rank: int, high_rank: int,
-              scale: RankScale) -> np.ndarray:
-    a1, a2 = _axis(np.array([low_rank]), scale)[0], _axis(np.array([high_rank]), scale)[0]
-    mid, half = (a1 + a2) / 2.0, (a2 - a1) / 2.0
-    return np.clip((_axis(pool_ranks, scale) - mid) / half, -1.0, 1.0)
-
-
-def gamma_error(model: RelativeRegressor, encoded: np.ndarray, ranks: np.ndarray,
-                y1: int, y2: int, pool, *, alpha: int, scale: RankScale) -> float:
-    """Mean |predicted - true| relative rank of one pair over its local pool.
-
-    The pool is filtered to ranks within alpha of the pair's span, and the
-    references never score themselves.  Empty pool raises SelectionError.
-    """
-    r1, r2 = int(ranks[y1]), int(ranks[y2])
-    if r1 >= r2:
-        raise SelectionError(f"pair ranks must satisfy low < high, got ({r1}, {r2})")
-    pool = np.asarray(pool, dtype=np.int64)
-    in_span = (ranks[pool] >= r1 - alpha) & (ranks[pool] <= r2 + alpha)
-    pool = pool[in_span & (pool != y1) & (pool != y2)]
-    if len(pool) == 0:
-        raise SelectionError(f"empty validation pool for pair ranks ({r1}, {r2})")
-    n = len(pool)
-    rho_hat = model.regress(encoded[pool],
-                            np.broadcast_to(encoded[y1], (n, encoded.shape[1])),
-                            np.broadcast_to(encoded[y2], (n, encoded.shape[1])))
-    rho_true = _true_rho(ranks[pool], r1, r2, scale)
-    return float(np.mean(np.abs(np.atleast_1d(rho_hat) - rho_true)))
 
 
 def _nearest_populated(populated: np.ndarray, value: int, prefer_lower: bool) -> int:
@@ -206,31 +177,30 @@ def _resolve_endpoints(window: SearchWindow, populated: np.ndarray) -> tuple[int
     return None
 
 
-def _window_entry(model: RelativeRegressor, encoded: np.ndarray, db_ranks: np.ndarray,
-                  rank_index: dict[int, np.ndarray], window: SearchWindow,
-                  scale: RankScale, alpha: int, pool_cap: int | None,
-                  pair_cap: int | None, seed: int, tag_key: int) -> WindowEntry | None:
-    populated = np.array(sorted(rank_index), dtype=np.int64)
+def _score_window(model: RelativeRegressor, encoded: np.ndarray, db: ReferenceDatabase,
+                  populated: np.ndarray, window: SearchWindow,
+                  tag_key: int) -> tuple[list[int], list[float]] | None:
+    """One table row (ints, gammas) for a window, or None if no pair scores."""
     resolved = _resolve_endpoints(window, populated)
     if resolved is None:
         return None
     low_rank, high_rank = resolved
-    lows = rank_index[low_rank]
-    highs = rank_index[high_rank]
-    pool = np.nonzero((db_ranks >= low_rank - alpha) & (db_ranks <= high_rank + alpha))[0]
-    if pool_cap is not None and len(pool) > pool_cap:
-        rng = np.random.default_rng([seed, _STREAM_POOL, tag_key, window.center])
-        pool = np.sort(rng.choice(pool, size=pool_cap, replace=False))
+    lows = db.instances_at(low_rank)
+    highs = db.instances_at(high_rank)
+    pool = np.nonzero((db.ranks >= low_rank - db.alpha) & (db.ranks <= high_rank + db.alpha))[0]
+    if db.pool_cap is not None and len(pool) > db.pool_cap:
+        rng = np.random.default_rng([db.seed, _STREAM_POOL, tag_key, window.center])
+        pool = np.sort(rng.choice(pool, size=db.pool_cap, replace=False))
     total_pairs = len(lows) * len(highs)
-    if pair_cap is not None and total_pairs > pair_cap:
-        rng = np.random.default_rng([seed, _STREAM_PAIRS, tag_key, window.center])
-        flat = np.sort(rng.choice(total_pairs, size=pair_cap, replace=False))
+    if db.pair_cap is not None and total_pairs > db.pair_cap:
+        rng = np.random.default_rng([db.seed, _STREAM_PAIRS, tag_key, window.center])
+        flat = np.sort(rng.choice(total_pairs, size=db.pair_cap, replace=False))
     else:
         flat = np.arange(total_pairs)
     yi = lows[flat // len(highs)]
     yj = highs[flat % len(highs)]
     rho_hat = model.regress_grid(encoded[pool], encoded[yi], encoded[yj])
-    rho_true = _true_rho(db_ranks[pool], low_rank, high_rank, scale)
+    rho_true = relative_rank_array(db.ranks[pool], low_rank, high_rank, db.scale)
     err = np.abs(rho_hat - rho_true[None, :])
     include = (pool[None, :] != yi[:, None]) & (pool[None, :] != yj[:, None])
     counts = include.sum(axis=1)
@@ -240,12 +210,10 @@ def _window_entry(model: RelativeRegressor, encoded: np.ndarray, db_ranks: np.nd
         return None
     best = int(np.nanargmin(gammas))
     worst = int(np.nanargmax(gammas))
-    return WindowEntry(
-        center=window.center, low=window.low, high=window.high,
-        low_rank=low_rank, high_rank=high_rank,
-        min_pair=(int(yi[best]), int(yj[best])), min_gamma=float(gammas[best]),
-        max_pair=(int(yi[worst]), int(yj[worst])), max_gamma=float(gammas[worst]),
-        n_pairs_scored=int(len(flat)), pool_size=int(len(pool)))
+    ints = [window.center, window.low, window.high, low_rank, high_rank,
+            int(yi[best]), int(yj[best]), int(yi[worst]), int(yj[worst]),
+            len(flat), len(pool)]
+    return ints, [float(gammas[best]), float(gammas[worst])]
 
 
 def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None],
@@ -265,11 +233,12 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
         raise ConfigError(f"seed must be >= 0, got {seed}")
     features: dict[str, np.ndarray] = {}
     digests: dict[str, str] = {}
-    tables: dict[str, dict[int, WindowEntry]] = {}
+    tables: dict[str, PairTable] = {}
     db = ReferenceDatabase(
         ids=tuple(dataset.ids), ranks=dataset.ranks.copy(), scale=scale,
         domain=domain, alpha=alpha, features=features, digests=digests,
         tables=tables, pool_cap=pool_cap, pair_cap=pair_cap, seed=seed)
+    populated = db.populated_ranks()
     for tag, model in models.items():
         if model is None:
             features[tag] = dataset.features.copy()
@@ -290,17 +259,18 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
         else:
             centers = iter(domain)
             window_domain = domain
-        table: dict[int, WindowEntry] = {}
+        ints, gammas = [], []
         tag_key = _tag_key(tag)
         for center in centers:
             window = make_window(center, scale, window_domain)
-            entry = _window_entry(model, encoded, db.ranks, db._rank_index, window,
-                                  scale, alpha, pool_cap, pair_cap, seed, tag_key)
-            if entry is not None:
-                table[center] = entry
-        if not table:
+            scored = _score_window(model, encoded, db, populated, window, tag_key)
+            if scored is not None:
+                ints.append(scored[0])
+                gammas.append(scored[1])
+        if not ints:
             raise ConfigError(f"no usable windows for model {tag!r}; dataset too sparse")
-        tables[tag] = table
+        tables[tag] = PairTable(np.array(ints, dtype=np.int64),
+                                np.array(gammas, dtype=np.float64))
     return db
 
 
@@ -309,20 +279,21 @@ def select_references(db: ReferenceDatabase, window: SearchWindow,
     """Pick the reference pair for a window; returns positions into the db."""
     if tag not in db.tables:
         raise ConfigError(f"database has no window table for tag {tag!r}")
-    entry = db.tables[tag].get(window.center)
-    if entry is None:
+    row = db.tables[tag].rows.get(window.center)
+    if row is None:
         raise SelectionError(f"no usable reference pair for window center {window.center}")
-    if (entry.low, entry.high) != (window.low, window.high):
+    _, low, high, low_rank, high_rank, min_i, min_j, max_i, max_j, _, _ = row
+    if (low, high) != (window.low, window.high):
         raise ConfigError(
             f"window mismatch at center {window.center}: database was built for "
-            f"[{entry.low}, {entry.high}], got [{window.low}, {window.high}]")
+            f"[{low}, {high}], got [{window.low}, {window.high}]")
     if scheme.kind is SelectionKind.MIN_ERROR:
-        return entry.min_pair
+        return min_i, min_j
     if scheme.kind is SelectionKind.MAX_ERROR:
-        return entry.max_pair
+        return max_i, max_j
     rng = np.random.default_rng([scheme.seed, _tag_key(tag), window.center])
-    lows = db.instances_at(entry.low_rank)
-    highs = db.instances_at(entry.high_rank)
+    lows = db.instances_at(low_rank)
+    highs = db.instances_at(high_rank)
     return int(lows[rng.integers(len(lows))]), int(highs[rng.integers(len(highs))])
 
 
@@ -338,8 +309,10 @@ def knn_ranks(db: ReferenceDatabase, feature: np.ndarray, k: int,
     if q.shape != (feats.shape[1],):
         raise ShapeError(f"query must have shape ({feats.shape[1]},), got {q.shape}")
     d2 = ((feats - q) ** 2).sum(axis=1)
-    order = np.lexsort((db._id_rank_order, d2))
-    return db.ranks[order[:k]].copy()
+    # only rows not beyond the k-th smallest distance can be among the k nearest
+    near = np.flatnonzero(~(d2 > np.partition(d2, k - 1)[k - 1]))
+    order = near[np.lexsort((db._id_rank_order[near], d2[near]))]
+    return db.ranks[order[:k]]
 
 
 def _meta_dict(db: ReferenceDatabase) -> dict:
@@ -356,10 +329,6 @@ def _meta_dict(db: ReferenceDatabase) -> dict:
         "digests": db.digests,
         "tabled_tags": list(db.tables),
     }
-
-
-_TABLE_COLS = ("center", "low", "high", "low_rank", "high_rank",
-               "min_i", "min_j", "max_i", "max_j", "n_pairs_scored", "pool_size")
 
 
 def save_database(db: ReferenceDatabase, path: str, run_id: str | None = None) -> None:
@@ -379,33 +348,25 @@ def save_database(db: ReferenceDatabase, path: str, run_id: str | None = None) -
     for tag, feats in db.features.items():
         arrays[f"feat__{tag}"] = feats
     for tag, table in db.tables.items():
-        entries = [table[c] for c in sorted(table)]
-        ints = np.array([[e.center, e.low, e.high, e.low_rank, e.high_rank,
-                          e.min_pair[0], e.min_pair[1], e.max_pair[0], e.max_pair[1],
-                          e.n_pairs_scored, e.pool_size] for e in entries], dtype=np.int64)
-        arrays[f"tab__{tag}__ints"] = ints
-        arrays[f"tab__{tag}__gammas"] = np.array(
-            [[e.min_gamma, e.max_gamma] for e in entries], dtype=np.float64)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp.npz")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        arrays[f"tab__{tag}__ints"] = table.ints
+        arrays[f"tab__{tag}__gammas"] = table.gammas
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_database(path: str, expected_digests: dict[str, str] | None = None,
-                  ) -> ReferenceDatabase:
-    """Load a snapshot, refusing if stored model digests do not match."""
+                  run_id: str | None = None) -> ReferenceDatabase:
+    """Load a snapshot, refusing if stored model digests do not match.
+
+    With ``run_id`` the file must carry that run stamp too.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("format_version") != DB_VERSION:
             raise DigestMismatchError(f"unsupported database version {meta.get('format_version')}")
+        if run_id is not None and meta.get("run_id") != run_id:
+            raise DigestMismatchError(
+                f"{path} belongs to run {meta.get('run_id')}, expected {run_id}")
         digests = dict(meta["digests"])
         if expected_digests:
             for tag, expected in expected_digests.items():
@@ -415,20 +376,9 @@ def load_database(path: str, expected_digests: dict[str, str] | None = None,
                         f"database entry {tag!r} was built for digest {stored}, expected {expected}")
         kind = ScaleKind(meta["scale_kind"])
         features = {tag: np.array(data[f"feat__{tag}"]) for tag in meta["tags"]}
-        tables: dict[str, dict[int, WindowEntry]] = {}
-        for tag in meta["tabled_tags"]:
-            ints = data[f"tab__{tag}__ints"]
-            gammas = data[f"tab__{tag}__gammas"]
-            table = {}
-            for row, (gmin, gmax) in zip(ints, gammas):
-                entry = WindowEntry(
-                    center=int(row[0]), low=int(row[1]), high=int(row[2]),
-                    low_rank=int(row[3]), high_rank=int(row[4]),
-                    min_pair=(int(row[5]), int(row[6])), min_gamma=float(gmin),
-                    max_pair=(int(row[7]), int(row[8])), max_gamma=float(gmax),
-                    n_pairs_scored=int(row[9]), pool_size=int(row[10]))
-                table[entry.center] = entry
-            tables[tag] = table
+        tables = {tag: PairTable(np.array(data[f"tab__{tag}__ints"]),
+                                 np.array(data[f"tab__{tag}__gammas"]))
+                  for tag in meta["tabled_tags"]}
         return ReferenceDatabase(
             ids=tuple(str(s) for s in data["ids"]),
             ranks=np.array(data["ranks"], dtype=np.int64),

@@ -21,11 +21,10 @@ from rankwin.errors import ConfigError
 from rankwin.nets import (AdamState, EncoderSpec, HeadSpec, RelativeRegressor,
                           adam_step)
 from rankwin.partition import RankGroup
-from rankwin.windows import RankScale, relative_rank, round_half_up
+from rankwin.windows import RankScale, relative_rank, window_bounds
 
 __all__ = [
     "TrainConfig",
-    "TripletSample",
     "sample_triplets",
     "train",
     "train_single",
@@ -35,6 +34,10 @@ __all__ = [
 _STREAM_TRIPLETS = 1
 _STREAM_EPOCH = 2
 _STREAM_INIT = 3
+
+# one row per training example: positions into the dataset and the target
+_TRIPLET_DTYPE = np.dtype([("x", np.int64), ("y1", np.int64), ("y2", np.int64),
+                          ("rho_true", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -54,34 +57,14 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not math.isfinite(self.lr) or self.lr <= 0:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.triplets_per_instance < 1:
             raise ConfigError(f"triplets_per_instance must be >= 1, got {self.triplets_per_instance}")
-
-
-@dataclass(frozen=True)
-class TripletSample:
-    """Positions (into the training dataset) of one training example."""
-
-    x: int
-    y1: int
-    y2: int
-    rho_true: float
-
-
-def _window_bounds(center: int, scale: RankScale) -> tuple[int, int]:
-    """Exact-width training window; no domain clipping, no widening."""
-    if scale.is_geometric:
-        axis = math.log(center)
-        return (round_half_up(math.exp(axis - scale.tau)),
-                round_half_up(math.exp(axis + scale.tau)))
-    width = int(scale.tau)
-    return center - width, center + width
 
 
 def _candidate_centers(rank: int, scale: RankScale) -> range:
@@ -106,9 +89,7 @@ def _valid_centers_for_rank(rank: int, scale: RankScale,
     """
     out = []
     for center in _candidate_centers(rank, scale):
-        if scale.is_geometric and center < 1:
-            continue
-        low, high = _window_bounds(center, scale)
+        low, high = window_bounds(center, scale)
         if low >= high or (scale.is_geometric and low < 1):
             continue
         if counts.get(low, 0) - (low == rank) < 1:
@@ -123,14 +104,20 @@ def _valid_centers_for_rank(rank: int, scale: RankScale,
 
 def sample_triplets(dataset: Dataset, config: TrainConfig,
                     group: RankGroup | None = None, *,
-                    epoch: int = 0, model_key: int = 0) -> list[TripletSample]:
+                    epoch: int = 0, model_key: int = 0) -> np.recarray:
     """Draw one epoch's triplets; deterministic in (seed, model_key, epoch).
+
+    Returns a record array with one row per triplet, so ``len`` counts
+    triplets; ``.x``, ``.y1``, ``.y2`` (dataset positions) and ``.rho_true``
+    are the columns.
 
     With a group, only instances inside its extended range are eligible and
     windows must intersect that range.  Instances whose rank admits no valid
     window are skipped; if that leaves nothing, the data is too sparse for
     the scale and a ConfigError names the uncovered ranks.
     """
+    if config.scale.is_geometric and len(dataset) and dataset.ranks.min() < 1:
+        raise ConfigError(f"geometric scale needs ranks >= 1, got {dataset.ranks.min()}")
     index = dataset.rank_index()
     counts = {rank: len(positions) for rank, positions in index.items()}
     center_cache: dict[int, list[tuple[int, int, int]]] = {}
@@ -138,7 +125,7 @@ def sample_triplets(dataset: Dataset, config: TrainConfig,
         eligible = range(len(dataset))
     else:
         eligible = [i for i in range(len(dataset)) if group.in_extended(int(dataset.ranks[i]))]
-    samples: list[TripletSample] = []
+    samples: list[tuple[int, int, int, float]] = []
     skipped_ranks: set[int] = set()
     for pos in eligible:
         rank = int(dataset.ranks[pos])
@@ -159,13 +146,11 @@ def sample_triplets(dataset: Dataset, config: TrainConfig,
                 pool_high = pool_high[pool_high != pos]
             y1 = int(pool_low[rng.integers(len(pool_low))])
             y2 = int(pool_high[rng.integers(len(pool_high))])
-            samples.append(TripletSample(
-                x=pos, y1=y1, y2=y2,
-                rho_true=relative_rank(rank, low, high, config.scale)))
+            samples.append((pos, y1, y2, relative_rank(rank, low, high, config.scale)))
     if not samples and len(dataset):
         raise ConfigError(
             f"no valid training windows; ranks without usable centers: {sorted(skipped_ranks)}")
-    return samples
+    return np.array(samples, dtype=_TRIPLET_DTYPE).view(np.recarray)
 
 
 def train_single(dataset: Dataset, config: TrainConfig, model: RelativeRegressor,
@@ -179,17 +164,14 @@ def train_single(dataset: Dataset, config: TrainConfig, model: RelativeRegressor
     feats = dataset.features
     for epoch in range(config.epochs):
         triplets = sample_triplets(dataset, config, group, epoch=epoch, model_key=model_key)
-        xs = np.array([s.x for s in triplets])
-        y1s = np.array([s.y1 for s in triplets])
-        y2s = np.array([s.y2 for s in triplets])
-        rhos = np.array([s.rho_true for s in triplets])
         order = np.random.default_rng(
             [config.seed, _STREAM_EPOCH, model_key, epoch]).permutation(len(triplets))
         total, count = 0.0, 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             loss, grads = model.loss_and_gradients(
-                feats[xs[batch]], feats[y1s[batch]], feats[y2s[batch]], rhos[batch])
+                feats[triplets.x[batch]], feats[triplets.y1[batch]],
+                feats[triplets.y2[batch]], triplets.rho_true[batch])
             adam_step(model, grads, state, lr=config.lr)
             total += loss * len(batch)
             count += len(batch)

@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from rankwin.errors import ConfigError, DomainError
 
 __all__ = [
@@ -27,7 +29,9 @@ __all__ = [
     "SearchWindow",
     "round_half_up",
     "relative_rank",
+    "relative_rank_array",
     "reconstruct_rank",
+    "window_bounds",
     "make_window",
 ]
 
@@ -94,17 +98,6 @@ class RankScale:
     def is_geometric(self) -> bool:
         return self.kind is ScaleKind.GEOMETRIC
 
-    def to_axis(self, rank: float) -> float:
-        """Map a rank onto the scale's working axis (identity or natural log)."""
-        if self.is_geometric:
-            if rank < 1:
-                raise DomainError(f"geometric scale needs ranks >= 1, got {rank}")
-            return math.log(rank)
-        return float(rank)
-
-    def from_axis(self, value: float) -> float:
-        return math.exp(value) if self.is_geometric else value
-
 
 @dataclass(frozen=True)
 class SearchWindow:
@@ -123,13 +116,9 @@ class SearchWindow:
         return self.high - self.low
 
 
-def _axis_stats(theta_y1: float, theta_y2: float, scale: RankScale) -> tuple[float, float]:
-    """Midpoint and half-width of the reference pair on the working axis."""
-    if not theta_y1 < theta_y2:
-        raise DomainError(f"references must be strictly ordered, got ({theta_y1}, {theta_y2})")
-    t1 = scale.to_axis(theta_y1)
-    t2 = scale.to_axis(theta_y2)
-    return (t1 + t2) / 2.0, (t2 - t1) / 2.0
+def _check_geometric_rank(rank: float) -> None:
+    if rank < 1:
+        raise DomainError(f"geometric scale needs ranks >= 1, got {rank}")
 
 
 def relative_rank(theta_x: float, theta_y1: float, theta_y2: float, scale: RankScale) -> float:
@@ -138,40 +127,74 @@ def relative_rank(theta_x: float, theta_y1: float, theta_y2: float, scale: RankS
     -1 and +1 mark the window ends; the clamp binds exactly when theta_x lies
     outside [theta_y1, theta_y2].
     """
-    mid, half = _axis_stats(theta_y1, theta_y2, scale)
-    tx = scale.to_axis(theta_x)
-    rho = (tx - mid) / half
+    if not theta_y1 < theta_y2:
+        raise DomainError(f"references must be strictly ordered, got ({theta_y1}, {theta_y2})")
+    if scale.kind is ScaleKind.GEOMETRIC:
+        _check_geometric_rank(theta_y1)
+        _check_geometric_rank(theta_x)
+        t1, t2, tx = math.log(theta_y1), math.log(theta_y2), math.log(theta_x)
+    else:
+        t1, t2, tx = float(theta_y1), float(theta_y2), float(theta_x)
+    rho = (tx - (t1 + t2) / 2.0) / ((t2 - t1) / 2.0)
     return min(1.0, max(-1.0, rho))
+
+
+def relative_rank_array(theta_x, theta_y1, theta_y2, scale: RankScale) -> np.ndarray:
+    """Array form of :func:`relative_rank`; the arguments broadcast together.
+
+    numpy's log can differ from :mod:`math` by an ulp, so single values go
+    through the scalar form.
+    """
+    tx, t1, t2 = (np.asarray(v, dtype=np.float64) for v in (theta_x, theta_y1, theta_y2))
+    if not np.all(t1 < t2) or (scale.is_geometric and (np.any(tx < 1) or np.any(t1 < 1))):
+        raise DomainError("references must be strictly ordered, and geometric ranks >= 1")
+    if scale.is_geometric:
+        tx, t1, t2 = np.log(tx), np.log(t1), np.log(t2)
+    return np.clip((tx - (t1 + t2) / 2.0) / ((t2 - t1) / 2.0), -1.0, 1.0)
 
 
 def reconstruct_rank(rho: float, theta_y1: float, theta_y2: float, scale: RankScale) -> float:
     """Invert :func:`relative_rank`: map rho in [-1, 1] back to a (real) rank."""
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"relative rank must lie in [-1, 1], got {rho}")
-    mid, half = _axis_stats(theta_y1, theta_y2, scale)
-    return scale.from_axis(rho * half + mid)
+    if not theta_y1 < theta_y2:
+        raise DomainError(f"references must be strictly ordered, got ({theta_y1}, {theta_y2})")
+    if scale.kind is ScaleKind.GEOMETRIC:
+        _check_geometric_rank(theta_y1)
+        t1, t2 = math.log(theta_y1), math.log(theta_y2)
+        return math.exp(rho * ((t2 - t1) / 2.0) + (t1 + t2) / 2.0)
+    t1, t2 = float(theta_y1), float(theta_y2)
+    return rho * ((t2 - t1) / 2.0) + (t1 + t2) / 2.0
+
+
+def window_bounds(center: int, scale: RankScale) -> tuple[int, int]:
+    """Nominal window ends around ``center``: no domain clipping, no widening.
+
+    Arithmetic: [center - tau, center + tau].  Geometric: round-half-up of
+    exp(log(center) -/+ tau).
+    """
+    if scale.kind is ScaleKind.GEOMETRIC:
+        _check_geometric_rank(center)
+        axis = math.log(center)
+        return (round_half_up(math.exp(axis - scale.tau)),
+                round_half_up(math.exp(axis + scale.tau)))
+    width = int(scale.tau)
+    return center - width, center + width
 
 
 def make_window(center: int, scale: RankScale, domain: RankRange) -> SearchWindow:
     """Integer search window around ``center``, clipped to ``domain``.
 
-    Arithmetic: [center - tau, center + tau].  Geometric: bounds are
-    round-half-up of exp(log(center) -/+ tau).  Bounds are clipped to the
-    domain; if clipping or rounding collapses the window to a point it is
-    widened by one rank on whichever sides have room, keeping at least one
-    reference on each side of a point window.
+    The nominal :func:`window_bounds` are clipped to the domain; if clipping
+    or rounding collapses the window to a point it is widened by one rank on
+    whichever sides have room, keeping at least one reference on each side of
+    a point window.
     """
     if center not in domain:
         raise DomainError(f"center {center} outside rank domain [{domain.lo}, {domain.hi}]")
     if len(domain) < 2:
         raise DomainError(f"domain [{domain.lo}, {domain.hi}] too small for a window")
-    if scale.is_geometric:
-        axis_center = scale.to_axis(center)
-        low = round_half_up(math.exp(axis_center - scale.tau))
-        high = round_half_up(math.exp(axis_center + scale.tau))
-    else:
-        width = int(scale.tau)
-        low, high = center - width, center + width
+    low, high = window_bounds(center, scale)
     low = max(low, domain.lo)
     high = min(high, domain.hi)
     if low == high:

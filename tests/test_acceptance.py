@@ -9,7 +9,6 @@ time is charged to the end-to-end gate, which pays for the training.
 Run as: pytest tests/test_acceptance.py -v -s
 """
 
-import dataclasses
 import json
 import os
 import time

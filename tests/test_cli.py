@@ -5,7 +5,6 @@ can fix (bad flags, missing files, stale digests).  One subprocess smoke
 test proves the module entry point wires up outside pytest too.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -120,6 +119,21 @@ def test_unknown_flag_is_an_argparse_error(dataset_path, tmp_path):
         main(["train", "--dataset", dataset_path, "--out-dir", str(tmp_path),
               "--window-flavor", "wide"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "{data}", "--out-dir", "{tmp}/run", *FAST, "--lr", "nan"],
+    ["gen", "--out", "{tmp}/d.csv", "--n", "10", "--noise-std", "nan"],
+    ["gen", "--out", "{tmp}/d.csv", "--n", "10", "--domain", "5"],
+    ["sweep", "--dataset", "{data}", "--out-dir", "{tmp}/sweep", *FAST, "--cells", "geo"],
+], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau"])
+def test_user_errors_exit_2_without_traceback(argv, dataset_path, tmp_path):
+    argv = [a.format(data=dataset_path, tmp=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "rankwin.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(tmp_path / "d.csv")
 
 
 def test_module_entry_point_smoke():

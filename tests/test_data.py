@@ -175,3 +175,5 @@ def test_synthetic_spec_validation():
         SyntheticSpec(nonlinearity="cubic")
     with pytest.raises(ConfigError):
         SyntheticSpec(noise_std=-0.1)
+    with pytest.raises(ConfigError):
+        SyntheticSpec(noise_std=float("nan"))

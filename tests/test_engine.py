@@ -66,6 +66,8 @@ def test_oracle_rho_matches_relative_rank():
         noisy.rho(22, 20, 26, ARI3)
     with pytest.raises(ConfigError):
         OracleRegressor(noise_std=-0.1)
+    with pytest.raises(ConfigError):
+        OracleRegressor(noise_std=float("nan"))
 
 
 def test_initial_estimate_averages_neighbor_ranks():

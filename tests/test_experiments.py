@@ -8,6 +8,7 @@ The trained-run fixture is shared module-wide; tests only read from it.
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from rankwin.experiments import (METRICS_COLUMNS, ExperimentManifest,
                                  atomic_write_text, file_digest, inspect_run,
                                  read_manifest, run_build_refdb, run_eval,
                                  run_simulate, run_sweep, run_train)
-from rankwin.refdb import TAG_GLOBAL, load_database, local_tag
+from rankwin.fileio import atomic_open
+from rankwin.nets import load_checkpoint, save_checkpoint
+from rankwin.refdb import TAG_GLOBAL, load_database, local_tag, save_database
 from rankwin.windows import RankRange
 
 
@@ -119,6 +122,17 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_atomic_open_keeps_the_old_file_on_error(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("kept\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path)) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 # ----------------------------------------------------------------- train
 
 def test_train_writes_manifest_and_checkpoints(trained_run):
@@ -163,6 +177,33 @@ def test_refdb_has_one_table_per_model(trained_run):
     with np.load(os.path.join(out, "refdb.npz")) as data:
         meta = json.loads(bytes(data["meta"]).decode())
     assert meta["run_id"] == manifest.run_id
+
+
+def copy_of_run(trained_run, tmp_path):
+    out = str(tmp_path / "run")
+    shutil.copytree(trained_run[0], out)
+    return out
+
+
+def test_foreign_checkpoint_is_refused(trained_run, dataset_path, tmp_path):
+    out = copy_of_run(trained_run, tmp_path)
+    path = os.path.join(out, "local2.npz")
+    model, _ = load_checkpoint(path)
+    save_checkpoint(model, path, run_id="0" * 12)
+    with pytest.raises(DigestMismatchError, match="local2.npz"):
+        run_build_refdb(dataset_path, out)
+    with pytest.raises(DigestMismatchError, match="0" * 12):
+        run_eval(dataset_path, out, scheme="random")
+
+
+def test_foreign_refdb_is_refused(trained_run, dataset_path, tmp_path):
+    out = copy_of_run(trained_run, tmp_path)
+    path = os.path.join(out, "refdb.npz")
+    save_database(load_database(path), path, run_id="0" * 12)
+    with pytest.raises(DigestMismatchError, match="refdb.npz"):
+        run_eval(dataset_path, out)
+    # loading without an expected run_id still works
+    assert len(load_database(path)) > 0
 
 
 def test_build_refdb_requires_a_trained_run(dataset_path, tmp_path):

@@ -106,25 +106,6 @@ def test_loss_zero_at_own_predictions_kills_all_gradients():
         assert np.all(g == 0.0)
 
 
-def test_branch_weights_are_linear_in_encoder_gradients():
-    m = small_model(5)
-    rng = np.random.default_rng(3)
-    args = (rng.normal(size=(4, 6)), rng.normal(size=(4, 6)),
-            rng.normal(size=(4, 6)), rng.uniform(-1, 1, 4))
-    n_enc = 2 * (len(ENC.hidden_dims) + 1)
-    parts = []
-    for onehot in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        _, g = m.loss_and_gradients(*args, branch_weights=onehot)
-        parts.append(g)
-    _, combined = m.loss_and_gradients(*args, branch_weights=(0.3, 1.7, -0.5))
-    for i in range(n_enc):
-        expected = 0.3 * parts[0][i] + 1.7 * parts[1][i] - 0.5 * parts[2][i]
-        assert np.allclose(combined[i], expected, atol=1e-12)
-    # head gradients never depend on the branch weighting
-    for i in range(n_enc, len(combined)):
-        assert np.allclose(combined[i], parts[0][i], atol=1e-15)
-
-
 def test_loss_input_validation():
     m = small_model()
     x = np.zeros((3, 6))

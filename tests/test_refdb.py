@@ -1,8 +1,8 @@
 """Reference database: gamma scoring, pair tables, kNN, persistence.
 
 The exhaustive check rebuilds every table entry by scoring all pairs one at
-a time through the scalar gamma path, so the vectorized grid scoring in the
-builder has an independent witness.
+a time through the scalar gamma oracle below, so the vectorized grid scoring
+in the builder has an independent witness.
 """
 
 import os
@@ -15,14 +15,45 @@ from rankwin.errors import (ConfigError, DigestMismatchError, SelectionError,
                             ShapeError)
 from rankwin.nets import EncoderSpec, HeadSpec, RelativeRegressor, model_digest
 from rankwin.partition import RankGroup
-from rankwin.refdb import (IDENTITY_DIGEST, TAG_GLOBAL, TAG_RAW,
-                           ReferenceDatabase, SelectionKind, SelectionScheme,
-                           build_database, gamma_error, knn_ranks,
-                           load_database, local_tag, save_database,
+from rankwin.refdb import (IDENTITY_DIGEST, TABLE_COLUMNS, TAG_GLOBAL, TAG_RAW,
+                           SelectionKind, SelectionScheme, build_database,
+                           knn_ranks, load_database, local_tag, save_database,
                            select_references)
-from rankwin.windows import RankRange, RankScale, SearchWindow, make_window
+from rankwin.windows import (RankRange, RankScale, SearchWindow, make_window,
+                             relative_rank)
 
 ARI2 = RankScale.arithmetic(2)
+
+
+def gamma_error(model, encoded, ranks, y1, y2, pool, *, alpha, scale):
+    """Mean |predicted - true| relative rank of one pair over its local pool.
+
+    Scalar oracle for the builder's grid scoring: the pool is filtered to
+    ranks within alpha of the pair's span, the references never score
+    themselves, and an empty pool raises SelectionError.
+    """
+    r1, r2 = int(ranks[y1]), int(ranks[y2])
+    if r1 >= r2:
+        raise SelectionError(f"pair ranks must satisfy low < high, got ({r1}, {r2})")
+    pool = [int(p) for p in pool
+            if r1 - alpha <= ranks[p] <= r2 + alpha and p not in (y1, y2)]
+    if not pool:
+        raise SelectionError(f"empty validation pool for pair ranks ({r1}, {r2})")
+    errors = [abs(float(np.atleast_1d(model.regress(encoded[[p]], encoded[[y1]],
+                                                      encoded[[y2]]))[0])
+                  - relative_rank(int(ranks[p]), r1, r2, scale)) for p in pool]
+    return float(np.mean(errors))
+
+
+def table_entries(table):
+    """``{center: row}`` with each row a dict of TABLE_COLUMNS plus both gammas."""
+    entries = {}
+    for ints, (gmin, gmax) in zip(table.ints.tolist(), table.gammas.tolist()):
+        entry = dict(zip(TABLE_COLUMNS, ints), min_gamma=gmin, max_gamma=gmax)
+        entry["min_pair"] = (entry["min_i"], entry["min_j"])
+        entry["max_pair"] = (entry["max_i"], entry["max_j"])
+        entries[entry["center"]] = entry
+    return entries
 
 
 class ConstEstimator:
@@ -107,29 +138,31 @@ def test_every_entry_matches_exhaustive_pair_scoring(small_db):
     ds, model, db = small_db
     encoded = db.features[TAG_GLOBAL]
     everyone = np.arange(len(ds))
-    for center, entry in db.tables[TAG_GLOBAL].items():
+    table = db.tables[TAG_GLOBAL]
+    assert list(table.ints[:, 0]) == sorted(table.rows)
+    for center, entry in table_entries(table).items():
         window = make_window(center, ARI2, ds.rank_domain)
-        assert (entry.low, entry.high) == (window.low, window.high)
-        lows = db.instances_at(entry.low_rank)
-        highs = db.instances_at(entry.high_rank)
+        assert (entry["low"], entry["high"]) == (window.low, window.high)
+        lows = db.instances_at(entry["low_rank"])
+        highs = db.instances_at(entry["high_rank"])
         scores = {(int(i), int(j)): gamma_error(model, encoded, db.ranks,
                                                 int(i), int(j), everyone,
                                                 alpha=3, scale=ARI2)
                   for i in lows for j in highs}
-        assert entry.n_pairs_scored == len(scores)
+        assert entry["n_pairs_scored"] == len(scores)
         best = min(scores.values())
         worst = max(scores.values())
-        assert entry.min_gamma == pytest.approx(best, rel=1e-9, abs=1e-12)
-        assert entry.max_gamma == pytest.approx(worst, rel=1e-9, abs=1e-12)
-        assert scores[entry.min_pair] == pytest.approx(best, rel=1e-9, abs=1e-12)
-        assert scores[entry.max_pair] == pytest.approx(worst, rel=1e-9, abs=1e-12)
-        assert entry.min_gamma <= entry.max_gamma
+        assert entry["min_gamma"] == pytest.approx(best, rel=1e-9, abs=1e-12)
+        assert entry["max_gamma"] == pytest.approx(worst, rel=1e-9, abs=1e-12)
+        assert scores[entry["min_pair"]] == pytest.approx(best, rel=1e-9, abs=1e-12)
+        assert scores[entry["max_pair"]] == pytest.approx(worst, rel=1e-9, abs=1e-12)
+        assert entry["min_gamma"] <= entry["max_gamma"]
 
 
 def test_gammas_stay_in_absolute_error_range(small_db):
     _, _, db = small_db
-    for entry in db.tables[TAG_GLOBAL].values():
-        assert 0.0 <= entry.min_gamma <= entry.max_gamma <= 2.0
+    gammas = db.tables[TAG_GLOBAL].gammas
+    assert np.all((0.0 <= gammas[:, 0]) & (gammas[:, 0] <= gammas[:, 1]) & (gammas[:, 1] <= 2.0))
 
 
 def test_endpoint_fallback_to_nearest_populated():
@@ -138,9 +171,9 @@ def test_endpoint_fallback_to_nearest_populated():
     ds = rank_dataset([5, 5, 6, 6, 12, 12])
     db = build_database(ds, {TAG_GLOBAL: real_model()}, ARI2,
                         RankRange(5, 12), alpha=6, seed=0)
-    entry = db.tables[TAG_GLOBAL][7]
-    assert (entry.low, entry.high) == (5, 9)
-    assert (entry.low_rank, entry.high_rank) == (5, 12)
+    entry = table_entries(db.tables[TAG_GLOBAL])[7]
+    assert (entry["low"], entry["high"]) == (5, 9)
+    assert (entry["low_rank"], entry["high_rank"]) == (5, 12)
 
 
 def test_single_rank_dataset_has_no_usable_windows():
@@ -162,10 +195,10 @@ def test_local_tags_table_their_group_only():
     groups = [RankGroup(0, 1, 10, 1, 14), RankGroup(1, 11, 24, 7, 24)]
     db = build_database(ds, {local_tag(0): real_model(seed=4)}, ARI2,
                         ds.rank_domain, groups=groups)
-    centers = sorted(db.tables[local_tag(0)])
-    assert centers == list(range(1, 11))
-    for entry in db.tables[local_tag(0)].values():
-        assert 1 <= entry.low < entry.high <= 14  # clipped to the extension
+    table = db.tables[local_tag(0)]
+    assert list(table.ints[:, 0]) == list(range(1, 11))
+    for entry in table_entries(table).values():
+        assert 1 <= entry["low"] < entry["high"] <= 14  # clipped to the extension
 
 
 def test_local_tag_without_groups_raises():
@@ -183,16 +216,16 @@ def test_build_rejects_wrong_feature_width():
 def test_selection_schemes(small_db):
     ds, _, db = small_db
     window = make_window(6, ARI2, ds.rank_domain)
-    entry = db.tables[TAG_GLOBAL][6]
+    entry = table_entries(db.tables[TAG_GLOBAL])[6]
     assert select_references(db, window, SelectionScheme(SelectionKind.MIN_ERROR)) \
-        == entry.min_pair
+        == entry["min_pair"]
     assert select_references(db, window, SelectionScheme(SelectionKind.MAX_ERROR)) \
-        == entry.max_pair
+        == entry["max_pair"]
     r1 = select_references(db, window, SelectionScheme(SelectionKind.RANDOM, seed=9))
     r2 = select_references(db, window, SelectionScheme(SelectionKind.RANDOM, seed=9))
     assert r1 == r2
-    assert int(db.ranks[r1[0]]) == entry.low_rank
-    assert int(db.ranks[r1[1]]) == entry.high_rank
+    assert int(db.ranks[r1[0]]) == entry["low_rank"]
+    assert int(db.ranks[r1[1]]) == entry["high_rank"]
     draws = {select_references(db, make_window(c, ARI2, ds.rank_domain),
                                SelectionScheme(SelectionKind.RANDOM, seed=0))
              for c in range(3, 11)}
@@ -234,6 +267,24 @@ def test_knn_breaks_ties_by_id():
     assert list(got) == [7, 3]  # id "a" sorts before "z" at equal distance
 
 
+def test_knn_equals_full_id_ordered_sort_for_every_k():
+    """Ties straddle the k-th distance for many k: the result is still the
+    first k of a full (distance, id) sort."""
+    rng = np.random.default_rng(5)
+    n = 60
+    ids = tuple(f"i{v:03d}" for v in rng.permutation(n))
+    ds = Dataset(ids=ids, features=rng.integers(0, 3, size=(n, 2)).astype(np.float64),
+                 ranks=rng.integers(1, 11, size=n), sigmas=None,
+                 splits=np.array(["train"] * n), rank_domain=RankRange(1, 10))
+    db = build_database(ds, {TAG_RAW: None}, ARI2, ds.rank_domain)
+    for q in (np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([0.5, 0.0])):
+        d2 = ((ds.features - q) ** 2).sum(axis=1)
+        full = sorted(range(n), key=lambda i: (d2[i], ids[i]))
+        for k in range(1, n + 1):
+            got = knn_ranks(db, q, k=k, tag=TAG_RAW)
+            assert got.tolist() == [int(ds.ranks[i]) for i in full[:k]]
+
+
 def test_knn_validates_inputs(small_db):
     ds, _, db = small_db
     with pytest.raises(ConfigError):
@@ -251,11 +302,11 @@ def test_capped_builds_are_deterministic():
     kwargs = dict(alpha=3, pool_cap=10, pair_cap=5, seed=1)
     a = build_database(ds, {TAG_GLOBAL: real_model(seed=6)}, ARI2, ds.rank_domain, **kwargs)
     b = build_database(ds, {TAG_GLOBAL: real_model(seed=6)}, ARI2, ds.rank_domain, **kwargs)
-    for center, entry in a.tables[TAG_GLOBAL].items():
-        other = b.tables[TAG_GLOBAL][center]
-        assert entry == other
-        assert entry.n_pairs_scored <= 5
-        assert entry.pool_size <= 10
+    ta, tb = a.tables[TAG_GLOBAL], b.tables[TAG_GLOBAL]
+    assert np.array_equal(ta.ints, tb.ints)
+    assert np.array_equal(ta.gammas, tb.gammas)
+    assert np.all(ta.ints[:, TABLE_COLUMNS.index("n_pairs_scored")] <= 5)
+    assert np.all(ta.ints[:, TABLE_COLUMNS.index("pool_size")] <= 10)
 
 
 def test_instances_at_and_populated_ranks(small_db):
@@ -278,7 +329,11 @@ def test_save_load_round_trip(tmp_path, small_db):
     assert loaded.alpha == db.alpha
     assert loaded.digests == db.digests
     assert np.array_equal(loaded.features[TAG_GLOBAL], db.features[TAG_GLOBAL])
-    assert loaded.tables[TAG_GLOBAL] == db.tables[TAG_GLOBAL]
+    loaded_table, table = loaded.tables[TAG_GLOBAL], db.tables[TAG_GLOBAL]
+    assert loaded_table.ints.dtype == np.int64 and loaded_table.ints.shape[1] == 11
+    assert np.array_equal(loaded_table.ints, table.ints)
+    assert np.array_equal(loaded_table.gammas, table.gammas)
+    assert loaded_table.rows == table.rows
 
 
 def test_load_rejects_stale_digest(tmp_path, small_db):

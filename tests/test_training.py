@@ -13,7 +13,7 @@ from rankwin.data import Dataset, SyntheticSpec, generate_synthetic
 from rankwin.errors import ConfigError
 from rankwin.nets import EncoderSpec, model_digest
 from rankwin.partition import RankGroup
-from rankwin.training import TrainConfig, sample_triplets, train, train_single
+from rankwin.training import TrainConfig, sample_triplets, train
 from rankwin.windows import RankRange, RankScale
 
 ARI3 = RankScale.arithmetic(3)
@@ -75,6 +75,12 @@ def test_unusable_data_raises_and_names_ranks():
         sample_triplets(ds, config())
 
 
+def test_geometric_scale_rejects_rank_zero():
+    ds = rank_dataset([0, 1, 2, 3] * 3)
+    with pytest.raises(ConfigError, match="ranks >= 1"):
+        sample_triplets(ds, config(scale=RankScale.geometric(0.2)))
+
+
 def test_windows_have_exact_width_and_nearby_centers():
     ds = rank_dataset(list(range(1, 31)) * 3)
     for s in sample_triplets(ds, config(triplets_per_instance=4)):
@@ -102,11 +108,11 @@ def test_sampling_is_deterministic_per_stream():
     ds = rank_dataset(list(range(10, 20)) * 4)
     a = sample_triplets(ds, config(), epoch=2, model_key=1)
     b = sample_triplets(ds, config(), epoch=2, model_key=1)
-    assert a == b
+    assert np.array_equal(a, b)
     c = sample_triplets(ds, config(), epoch=3, model_key=1)
     d = sample_triplets(ds, config(), epoch=2, model_key=2)
-    assert a != c
-    assert a != d
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
 
 
 def test_group_restricts_instances_and_windows():
@@ -114,7 +120,7 @@ def test_group_restricts_instances_and_windows():
     group = RankGroup(index=1, theta_min=15, theta_max=24,
                       extended_min=9, extended_max=30)
     samples = sample_triplets(ds, config(), group)
-    assert samples
+    assert len(samples)
     for s in samples:
         assert group.in_extended(int(ds.ranks[s.x]))
         low, high = int(ds.ranks[s.y1]), int(ds.ranks[s.y2])
@@ -128,6 +134,9 @@ def test_train_config_validation():
         config(batch_size=0)
     with pytest.raises(ConfigError):
         config(lr=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            config(lr=bad)
     with pytest.raises(ConfigError):
         config(triplets_per_instance=0)
 
@@ -179,10 +188,8 @@ def test_learned_targets_beat_chance():
     gm, _ = train(ds, cfg, encoder=EncoderSpec(4, (16,), 8))
     held = sample_triplets(ds, cfg, epoch=99)
     feats = gm.encode(ds.features)
-    pred = gm.regress(feats[[s.x for s in held]],
-                      feats[[s.y1 for s in held]],
-                      feats[[s.y2 for s in held]])
-    err = np.abs(pred - np.array([s.rho_true for s in held]))
+    pred = gm.regress(feats[held.x], feats[held.y1], feats[held.y2])
+    err = np.abs(pred - held.rho_true)
     assert float(err.mean()) < 0.3
 
 

@@ -7,13 +7,15 @@ bounds follow from round-half-up of exp(log(center) +/- tau).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankwin.errors import ConfigError, DomainError
 from rankwin.windows import (RankRange, RankScale, make_window,
-                             reconstruct_rank, relative_rank, round_half_up)
+                             reconstruct_rank, relative_rank,
+                             relative_rank_array, round_half_up, window_bounds)
 
 ARI3 = RankScale.arithmetic(3)
 GEO = RankScale.geometric(0.1)
@@ -72,6 +74,46 @@ def test_arithmetic_tau_must_be_integral():
         RankScale.arithmetic(0)
     with pytest.raises(ConfigError):
         RankScale.geometric(-0.1)
+
+
+EXACT_SCALES = [RankScale.arithmetic(2), RankScale.arithmetic(3), RankScale.arithmetic(5),
+                RankScale.geometric(0.1), RankScale.geometric(0.2)]
+
+
+@pytest.mark.parametrize("scale", EXACT_SCALES, ids=lambda s: f"{s.kind.value}{s.tau:g}")
+def test_array_relative_rank_equals_scalar_exactly(scale):
+    # every (x, low, high) with low < high in domain 1..80
+    low, high = (a.ravel() for a in np.meshgrid(np.arange(1, 81), np.arange(1, 81)))
+    keep = low < high
+    low, high = low[keep], high[keep]
+    for x in range(1, 81):
+        got = relative_rank_array(x, low, high, scale)
+        want = [relative_rank(x, lo, hi, scale) for lo, hi in zip(low.tolist(), high.tolist())]
+        assert np.array_equal(got, np.array(want)), f"x={x}"
+
+
+@pytest.mark.parametrize("scale", EXACT_SCALES, ids=lambda s: f"{s.kind.value}{s.tau:g}")
+def test_window_bounds_equal_array_evaluation_and_make_window(scale):
+    centers = np.arange(1, 81)
+    if scale.is_geometric:
+        axis = np.log(centers)
+        lows = np.floor(np.exp(axis - scale.tau) + 0.5).astype(np.int64)
+        highs = np.floor(np.exp(axis + scale.tau) + 0.5).astype(np.int64)
+    else:
+        lows, highs = centers - int(scale.tau), centers + int(scale.tau)
+    wide = RankRange(-100, 1000)
+    for c, lo, hi in zip(centers.tolist(), lows.tolist(), highs.tolist()):
+        assert window_bounds(c, scale) == (lo, hi)
+        if lo < hi:
+            w = make_window(c, scale, wide)
+            assert (w.low, w.high) == (lo, hi)
+
+
+def test_relative_rank_array_rejects_bad_references():
+    with pytest.raises(DomainError):
+        relative_rank_array(np.array([3, 4]), 5, np.array([6, 5]), ARI3)
+    with pytest.raises(DomainError):
+        relative_rank_array(np.array([0, 4]), 2, 6, GEO)
 
 
 def test_window_examples():
@@ -142,7 +184,10 @@ def test_sign_matches_side_of_midpoint(scale, y1, width, x):
     y2 = y1 + width
     rho = relative_rank(x, y1, y2, scale)
     assert -1.0 <= rho <= 1.0
-    mid = scale.from_axis((scale.to_axis(y1) + scale.to_axis(y2)) / 2)
+    if scale.is_geometric:
+        mid = math.exp((math.log(y1) + math.log(y2)) / 2)
+    else:
+        mid = (y1 + y2) / 2
     if x > mid:
         assert rho > 0
     elif x < mid:
