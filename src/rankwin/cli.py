@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from rankwin.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from rankwin.errors import RankwinError
-from rankwin.experiments import (ExperimentManifest, eval_report, file_digest,
-                                 inspect_run, read_manifest, run_build_refdb,
-                                 run_eval, run_simulate, run_sweep, run_train)
+from rankwin.experiments import (ExperimentManifest, file_digest, inspect_run,
+                                 run_build_refdb, run_eval, run_simulate,
+                                 run_sweep, run_train)
 from rankwin.windows import RankRange
 
 log = logging.getLogger("rankwin")
@@ -104,27 +105,29 @@ def _cmd_build_refdb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    values = run_eval(args.dataset, args.out_dir, split=args.split,
-                      scheme=args.scheme, scheme_seed=args.scheme_seed)
-    sys.stdout.write(eval_report(read_manifest(args.out_dir).run_id, args.split, values))
+def _print_file(path: str) -> int:
+    """Copy a report the command just wrote to stdout."""
+    with open(path) as fh:
+        sys.stdout.write(fh.read())
     return 0
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    run_eval(args.dataset, args.out_dir, split=args.split,
+             scheme=args.scheme, scheme_seed=args.scheme_seed)
+    return _print_file(os.path.join(args.out_dir, "metrics.txt"))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    manifest = _manifest_from_args(args)
-    values = run_simulate(args.dataset, manifest, args.out_dir, split=args.split)
-    sys.stdout.write(eval_report(manifest.run_id, args.split, values))
-    return 0
+    run_simulate(args.dataset, _manifest_from_args(args), args.out_dir, split=args.split)
+    return _print_file(os.path.join(args.out_dir, "metrics.txt"))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _manifest_from_args(args)
     path = run_sweep(args.dataset, args.out_dir, base, args.cells, split=args.split)
     log.info("wrote %s", path)
-    with open(path) as fh:
-        sys.stdout.write(fh.read())
-    return 0
+    return _print_file(path)
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
@@ -196,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                         stream=sys.stderr)
     try:
         return args.func(args)
-    except (RankwinError, FileNotFoundError) as exc:
+    except (RankwinError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -205,31 +205,31 @@ def _finish_cycle(records: list[IterationRecord], estimates: list[int],
     return estimates[-1]
 
 
-def run_global(estimator, db: ReferenceDatabase | None, scale: RankScale,
-               scheme: SelectionScheme | None, domain: RankRange, *,
-               query: np.ndarray | None = None, truth: int | None = None,
-               init: int | None = None, k: int = DEFAULT_K,
-               max_iter: int = DEFAULT_MAX_ITER, tag: str = TAG_GLOBAL,
-               rng: np.random.Generator | None = None) -> tuple[int, InferenceTrace]:
-    """Iterate the global regressor from ``init`` (or a kNN start)."""
+def _refine(start: int, phase: str,
+            steps_at: Callable[[int], list[tuple[int, StepRecord]]],
+            domain: RankRange, max_iter: int, deterministic: bool) -> InferenceTrace:
+    """The window loop of both phases, from ``start``.
+
+    ``steps_at(estimate)`` evaluates every window around ``estimate`` and
+    returns one ``(candidate, step)`` each; two candidates average with ties
+    rounding up.  Halts at a fixed point, on a two-cycle when
+    ``deterministic``, or after ``max_iter`` iterations.
+    """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if init is None:
-        if db is None or query is None:
-            raise ConfigError("need a database and query feature for a kNN start")
-        init = initial_estimate(db, query, k=k, tag=tag)
-    if init not in domain:
-        raise DomainError(f"initial estimate {init} outside domain [{domain.lo}, {domain.hi}]")
-    deterministic = not getattr(estimator, "stochastic", False)
-    estimates = [init]
+    if start not in domain:
+        raise DomainError(f"{phase} start {start} outside domain [{domain.lo}, {domain.hi}]")
+    estimates = [start]
     records: list[IterationRecord] = []
     converged = False
-    final = init
+    final = start
     for it in range(1, max_iter + 1):
-        new, step = mwr_step(estimates[-1], estimator, db, scale, scheme, domain,
-                             tag=tag, query=query, truth=truth, rng=rng)
-        records.append(IterationRecord(index=it, phase="global", steps=(step,), estimate=new))
-        if new == estimates[-1]:
+        current = estimates[-1]
+        candidates, steps = zip(*steps_at(current))
+        new = candidates[0] if len(candidates) == 1 else \
+            domain.clip(round_half_up(sum(candidates) / len(candidates)))
+        records.append(IterationRecord(index=it, phase=phase, steps=steps, estimate=new))
+        if new == current:
             converged, final = True, new
             break
         if deterministic and len(estimates) >= 2 and new == estimates[-2]:
@@ -237,9 +237,22 @@ def run_global(estimator, db: ReferenceDatabase | None, scale: RankScale,
             break
         estimates.append(new)
         final = new
-    trace = InferenceTrace(initial=init, records=records, converged=converged,
-                           final_global=final, final_local=final)
-    return final, trace
+    return InferenceTrace(initial=start, records=records, converged=converged,
+                          final_global=final if phase == "global" else start,
+                          final_local=final)
+
+
+def run_global(estimator, db: ReferenceDatabase | None, scale: RankScale,
+               scheme: SelectionScheme | None, domain: RankRange, *, init: int,
+               query: np.ndarray | None = None, truth: int | None = None,
+               max_iter: int = DEFAULT_MAX_ITER,
+               rng: np.random.Generator | None = None) -> tuple[int, InferenceTrace]:
+    """Iterate the global regressor from ``init``."""
+    trace = _refine(init, "global",
+                    lambda estimate: [mwr_step(estimate, estimator, db, scale, scheme, domain,
+                                               query=query, truth=truth, rng=rng)],
+                    domain, max_iter, not getattr(estimator, "stochastic", False))
+    return trace.final, trace
 
 
 def run_local(start: int, estimators, groups: Sequence[RankGroup],
@@ -253,51 +266,26 @@ def run_local(start: int, estimators, groups: Sequence[RankGroup],
     ``estimators`` is either a sequence aligned with ``groups`` or a single
     oracle used for every group.  Model estimators read their encoded query
     from ``queries[local{i}]``.  Windows are clipped to each group's
-    extended range; a two-candidate iteration averages with ties rounding up.
+    extended range.
     """
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if start not in domain:
-        raise DomainError(f"estimate {start} outside domain [{domain.lo}, {domain.hi}]")
     if not groups:
         raise ConfigError("local phase needs at least one group")
-    single_oracle = _is_oracle(estimators)
-    if not single_oracle and len(estimators) != len(groups):
+    deterministic = not getattr(estimators, "stochastic", False)
+    if _is_oracle(estimators):
+        estimators = [estimators] * len(groups)
+    if len(estimators) != len(groups):
         raise ConfigError(f"{len(groups)} groups but {len(estimators)} local estimators")
-    deterministic = (not getattr(estimators, "stochastic", False)) if single_oracle else True
-    estimates = [start]
-    records: list[IterationRecord] = []
-    converged = False
-    final = start
-    for it in range(1, max_iter + 1):
-        current = estimates[-1]
-        steps = []
-        candidates = []
-        for gi in groups_containing(current, list(groups)):
-            group = groups[gi]
-            estimator = estimators if single_oracle else estimators[gi]
-            tag = local_tag(gi)
-            query = None if queries is None else queries.get(tag)
-            cand, step = mwr_step(current, estimator, db, scale, scheme, domain,
-                                  window_domain=group.extended_range, tag=tag,
-                                  group=gi, query=query, truth=truth, rng=rng)
-            steps.append(step)
-            candidates.append(cand)
-        new = candidates[0] if len(candidates) == 1 else \
-            domain.clip(round_half_up(float(np.mean(candidates))))
-        records.append(IterationRecord(index=it, phase="local",
-                                       steps=tuple(steps), estimate=new))
-        if new == current:
-            converged, final = True, new
-            break
-        if deterministic and len(estimates) >= 2 and new == estimates[-2]:
-            final = _finish_cycle(records, estimates, new)
-            break
-        estimates.append(new)
-        final = new
-    trace = InferenceTrace(initial=start, records=records, converged=converged,
-                           final_global=start, final_local=final)
-    return final, trace
+    groups = list(groups)
+    queries = queries or {}
+
+    def steps_at(estimate: int) -> list[tuple[int, StepRecord]]:
+        return [mwr_step(estimate, estimators[gi], db, scale, scheme, domain,
+                         window_domain=groups[gi].extended_range, tag=local_tag(gi),
+                         group=gi, query=queries.get(local_tag(gi)), truth=truth, rng=rng)
+                for gi in groups_containing(estimate, groups)]
+
+    trace = _refine(start, "local", steps_at, domain, max_iter, deterministic)
+    return trace.final, trace
 
 
 def combine_traces(global_trace: InferenceTrace,
@@ -334,22 +322,21 @@ def estimate_rank(features: np.ndarray, *, db: ReferenceDatabase,
         if truth is None:
             raise ConfigError("oracle inference needs the true rank")
         rng = np.random.default_rng([oracle.seed, instance_key]) if oracle.stochastic else None
+        estimator, query, queries = oracle, None, None
+        locals_ = oracle if groups else None
         init = initial_estimate(db, features, k=k, tag=TAG_RAW)
-        final, gtrace = run_global(oracle, db, scale, None, domain, truth=truth,
-                                   init=init, max_iter=max_iter, rng=rng)
-        ltrace = None
-        if groups:
-            final, ltrace = run_local(final, oracle, groups, db, scale, None, domain,
-                                      truth=truth, max_iter=max_iter, rng=rng)
-        return combine_traces(gtrace, ltrace)
-    query = global_model.encode(features)
-    final, gtrace = run_global(global_model, db, scale, scheme, domain,
-                               query=query, k=k, max_iter=max_iter)
-    ltrace = None
-    if local_models:
-        if not groups or len(groups) != len(local_models):
+    else:
+        if local_models and (not groups or len(groups) != len(local_models)):
             raise ConfigError("local models and groups must align")
-        queries = {local_tag(i): m.encode(features) for i, m in enumerate(local_models)}
-        final, ltrace = run_local(final, list(local_models), groups, db, scale,
-                                  scheme, domain, queries=queries, max_iter=max_iter)
+        rng = None
+        estimator, locals_ = global_model, local_models or None
+        query = global_model.encode(features)
+        queries = {local_tag(i): m.encode(features) for i, m in enumerate(local_models or ())}
+        init = initial_estimate(db, query, k=k)
+    final, gtrace = run_global(estimator, db, scale, scheme, domain, init=init,
+                               query=query, truth=truth, max_iter=max_iter, rng=rng)
+    ltrace = None
+    if locals_ is not None:
+        final, ltrace = run_local(final, locals_, groups, db, scale, scheme, domain,
+                                  queries=queries, truth=truth, max_iter=max_iter, rng=rng)
     return combine_traces(gtrace, ltrace)

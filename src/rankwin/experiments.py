@@ -15,11 +15,12 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from rankwin.data import Dataset, load_dataset
-from rankwin.engine import OracleRegressor, estimate_rank
+from rankwin.engine import InferenceTrace, OracleRegressor, estimate_rank
 from rankwin.errors import ConfigError, DigestMismatchError
 from rankwin.fileio import atomic_open
 from rankwin.metrics import (EvalRecord, accuracy, cumulative_score,
@@ -43,7 +44,6 @@ __all__ = [
     "run_simulate",
     "run_sweep",
     "inspect_run",
-    "eval_report",
     "METRICS_COLUMNS",
 ]
 
@@ -273,28 +273,31 @@ def _metrics_csv(run_id: str, split: str, values: dict[str, float | None]) -> st
     return ",".join(METRICS_COLUMNS) + "\n" + ",".join(cells) + "\n"
 
 
-def eval_report(run_id: str, split: str, values: dict[str, float | None]) -> str:
-    """The ``metrics.txt`` block: run_id, split, then every metric ('' if undefined)."""
-    report = {"run_id": run_id, "split": split}
-    report.update({k: ("" if v is None else v) for k, v in values.items()})
-    return format_report(report)
-
-
-def _write_eval_outputs(out_dir: str, run_id: str, split: str, records, traces,
-                        max_iter: int, prefix: str = "") -> dict[str, float | None]:
-    has_sigma = all(r.sigma is not None for r in records)
+def _score_split(out_dir: str, manifest: ExperimentManifest, split: str, eval_ds: Dataset,
+                 estimate: Callable[[int], InferenceTrace],
+                 prefix: str = "") -> dict[str, float | None]:
+    """Score instance ``i`` of ``eval_ds`` with ``estimate(i)`` and write the split's outputs."""
+    run_id = manifest.run_id
+    records, traces = [], []
+    for i in range(len(eval_ds)):
+        trace = estimate(i)
+        truth = int(eval_ds.ranks[i])
+        sigma = float(eval_ds.sigmas[i]) if eval_ds.has_sigma else None
+        records.append(EvalRecord(eval_ds.ids[i], truth, trace.final, sigma))
+        traces.append((truth, trace))
     values: dict[str, float | None] = {
         "mae": mae(records),
         "cs5": cumulative_score(records, 5),
-        "eps_error": epsilon_error(records) if has_sigma else None,
+        "eps_error": epsilon_error(records) if eval_ds.has_sigma else None,
         "accuracy": accuracy(records),
         "mean_iters": float(np.mean([t.iterations for _, t in traces])),
         "converged_pct": float(100.0 * np.mean([t.converged for _, t in traces])),
     }
     atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.csv"),
                       _metrics_csv(run_id, split, values))
-    atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.txt"),
-                      eval_report(run_id, split, values))
+    report = {"run_id": run_id, "split": split}
+    report.update({k: ("" if v is None else v) for k, v in values.items()})
+    atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.txt"), format_report(report))
     trace_lines = []
     for record, (truth, trace) in zip(records, traces):
         row = {"run_id": run_id, "id": record.instance_id, "truth": truth}
@@ -304,7 +307,7 @@ def _write_eval_outputs(out_dir: str, run_id: str, split: str, records, traces,
                       "\n".join(trace_lines) + "\n")
     conv_rows = ["run_id,phase,iteration,mean_abs_error,converged_cum_pct"]
     for phase in ("global", "local"):
-        for ph, t, err, pct in _phase_iteration_table(traces, phase, max_iter):
+        for ph, t, err, pct in _phase_iteration_table(traces, phase, manifest.max_iter):
             conv_rows.append(f"{run_id},{ph},{t},{err:.6f},{pct:.6f}")
     atomic_write_text(os.path.join(out_dir, f"{prefix}convergence.csv"),
                       "\n".join(conv_rows) + "\n")
@@ -336,19 +339,11 @@ def run_eval(dataset_path: str, out_dir: str, split: str = "test",
         expected[local_tag(i)] = model_digest(model)
     db = load_database(os.path.join(out_dir, REFDB_NAME), expected, run_id=stored.run_id)
     groups = manifest.make_groups()
-    records, traces = [], []
-    for i in range(len(eval_ds)):
-        trace = estimate_rank(
-            eval_ds.features[i], db=db, scale=manifest.scale,
-            scheme=manifest.selection, domain=manifest.domain,
-            global_model=global_model, local_models=local_models or None,
-            groups=groups, k=manifest.k, max_iter=manifest.max_iter)
-        truth = int(eval_ds.ranks[i])
-        sigma = float(eval_ds.sigmas[i]) if eval_ds.has_sigma else None
-        records.append(EvalRecord(eval_ds.ids[i], truth, trace.final, sigma))
-        traces.append((truth, trace))
-    return _write_eval_outputs(out_dir, manifest.run_id, split, records, traces,
-                               manifest.max_iter, prefix=prefix)
+    return _score_split(out_dir, manifest, split, eval_ds, lambda i: estimate_rank(
+        eval_ds.features[i], db=db, scale=manifest.scale,
+        scheme=manifest.selection, domain=manifest.domain,
+        global_model=global_model, local_models=local_models or None,
+        groups=groups, k=manifest.k, max_iter=manifest.max_iter), prefix=prefix)
 
 
 def run_simulate(dataset_path: str, manifest: ExperimentManifest, out_dir: str,
@@ -365,19 +360,11 @@ def run_simulate(dataset_path: str, manifest: ExperimentManifest, out_dir: str,
                         alpha=manifest.alpha, pool_cap=manifest.pool_cap,
                         pair_cap=manifest.pair_cap, seed=manifest.seed)
     oracle = OracleRegressor(noise_std=manifest.oracle_noise_std, seed=manifest.seed)
-    records, traces = [], []
-    for i in range(len(eval_ds)):
-        truth = int(eval_ds.ranks[i])
-        trace = estimate_rank(
-            eval_ds.features[i], db=db, scale=manifest.scale,
-            scheme=manifest.selection, domain=manifest.domain, oracle=oracle,
-            truth=truth, k=manifest.k, max_iter=manifest.max_iter,
-            instance_key=_instance_key(eval_ds.ids[i]))
-        sigma = float(eval_ds.sigmas[i]) if eval_ds.has_sigma else None
-        records.append(EvalRecord(eval_ds.ids[i], truth, trace.final, sigma))
-        traces.append((truth, trace))
-    return _write_eval_outputs(out_dir, manifest.run_id, split, records, traces,
-                               manifest.max_iter)
+    return _score_split(out_dir, manifest, split, eval_ds, lambda i: estimate_rank(
+        eval_ds.features[i], db=db, scale=manifest.scale,
+        scheme=manifest.selection, domain=manifest.domain, oracle=oracle,
+        truth=int(eval_ds.ranks[i]), k=manifest.k, max_iter=manifest.max_iter,
+        instance_key=_instance_key(eval_ds.ids[i])))
 
 
 def run_sweep(dataset_path: str, out_dir: str, base: ExperimentManifest,

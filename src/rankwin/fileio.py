@@ -1,11 +1,16 @@
-"""Atomic file replacement: write a sibling temp file, then ``os.replace``."""
+"""Run-directory file plumbing: atomic replacement and the npz run stamp."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import tempfile
-from typing import IO, Iterator
+from typing import IO, Iterator, Mapping
+
+import numpy as np
+
+from rankwin.errors import DataError, DigestMismatchError
 
 
 @contextlib.contextmanager
@@ -24,3 +29,22 @@ def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def pack_meta(meta: dict, run_id: str | None = None) -> np.ndarray:
+    """An npz's ``meta`` entry: sorted JSON as uint8, stamped with ``run_id`` if given."""
+    if run_id is not None:
+        meta = {**meta, "run_id": run_id}
+    return np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+
+
+def unpack_meta(data: Mapping[str, np.ndarray], path: str, version: int,
+                run_id: str | None = None) -> dict:
+    """Decode ``data["meta"]``; it must carry ``version`` and, if given, ``run_id``."""
+    meta = json.loads(bytes(data["meta"]).decode())
+    if meta.get("format_version") != version:
+        raise DataError(f"{path} has unsupported format version "
+                        f"{meta.get('format_version')}, expected {version}")
+    if run_id is not None and meta.get("run_id") != run_id:
+        raise DigestMismatchError(f"{path} belongs to run {meta.get('run_id')}, expected {run_id}")
+    return meta

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rankwin.errors import (ConfigError, DataError, DigestMismatchError,
-                            NumericalError, ShapeError)
-from rankwin.fileio import atomic_open
+from rankwin.errors import ConfigError, DataError, NumericalError, ShapeError
+from rankwin.fileio import atomic_open, pack_meta, unpack_meta
 
 __all__ = [
     "EncoderSpec",
@@ -301,9 +300,7 @@ def save_checkpoint(model: RelativeRegressor, path: str,
     meta["has_optimizer"] = optimizer is not None
     if optimizer is not None:
         meta["adam_step"] = optimizer.step
-    if run_id is not None:
-        meta["run_id"] = run_id
-    arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
+    arrays = {"meta": pack_meta(meta, run_id)}
     for i, p in enumerate(model.parameters()):
         arrays[f"param_{i:03d}"] = p
     if optimizer is not None:
@@ -321,12 +318,7 @@ def load_checkpoint(path: str, run_id: str | None = None,
     With ``run_id`` the checkpoint must carry that run stamp.
     """
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {meta.get('format_version')}")
-        if run_id is not None and meta.get("run_id") != run_id:
-            raise DigestMismatchError(
-                f"{path} belongs to run {meta.get('run_id')}, expected {run_id}")
+        meta = unpack_meta(data, path, CHECKPOINT_VERSION, run_id)
         enc = meta["encoder"]
         model = RelativeRegressor(
             EncoderSpec(enc["input_dim"], tuple(enc["hidden_dims"]), enc["output_dim"]),

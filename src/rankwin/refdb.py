@@ -11,7 +11,6 @@ records each model's parameter digest, so a stale database refuses to load.
 from __future__ import annotations
 
 import enum
-import json
 import zlib
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 from rankwin.data import Dataset, group_by_rank
 from rankwin.errors import (ConfigError, DigestMismatchError, SelectionError,
                             ShapeError)
-from rankwin.fileio import atomic_open
+from rankwin.fileio import atomic_open, pack_meta, unpack_meta
 from rankwin.nets import RelativeRegressor, model_digest
 from rankwin.partition import RankGroup
 from rankwin.windows import (RankRange, RankScale, ScaleKind, SearchWindow,
@@ -336,12 +335,8 @@ def save_database(db: ReferenceDatabase, path: str, run_id: str | None = None) -
 
     ``run_id`` stamps the file with the manifest that produced it.
     """
-    meta = _meta_dict(db)
-    if run_id is not None:
-        meta["run_id"] = run_id
     arrays: dict[str, np.ndarray] = {
-        "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
-                              dtype=np.uint8),
+        "meta": pack_meta(_meta_dict(db), run_id),
         "ids": np.array(db.ids),
         "ranks": db.ranks,
     }
@@ -361,12 +356,7 @@ def load_database(path: str, expected_digests: dict[str, str] | None = None,
     With ``run_id`` the file must carry that run stamp too.
     """
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format_version") != DB_VERSION:
-            raise DigestMismatchError(f"unsupported database version {meta.get('format_version')}")
-        if run_id is not None and meta.get("run_id") != run_id:
-            raise DigestMismatchError(
-                f"{path} belongs to run {meta.get('run_id')}, expected {run_id}")
+        meta = unpack_meta(data, path, DB_VERSION, run_id)
         digests = dict(meta["digests"])
         if expected_digests:
             for tag, expected in expected_digests.items():

@@ -54,7 +54,13 @@ def test_eval_prints_a_report(run_dir, dataset_path, capsys):
 def test_eval_scheme_override(run_dir, dataset_path, capsys):
     assert main(["eval", "--dataset", dataset_path, "--out-dir", run_dir,
                  "--split", "val", "--scheme", "random", "--scheme-seed", "3"]) == 0
-    assert "split val" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "split val" in out
+    # the printed run_id is the one the outputs carry, not the stored run's
+    lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
+    with open(os.path.join(run_dir, "metrics.csv")) as fh:
+        assert lines["run_id"] == fh.read().splitlines()[1].split(",")[0]
+    assert lines["run_id"] != read_manifest(run_dir).run_id
 
 
 def test_inspect_prints_run_summary(run_dir, capsys):
@@ -126,7 +132,8 @@ def test_unknown_flag_is_an_argparse_error(dataset_path, tmp_path):
     ["gen", "--out", "{tmp}/d.csv", "--n", "10", "--noise-std", "nan"],
     ["gen", "--out", "{tmp}/d.csv", "--n", "10", "--domain", "5"],
     ["sweep", "--dataset", "{data}", "--out-dir", "{tmp}/sweep", *FAST, "--cells", "geo"],
-], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau"])
+    ["train", "--dataset", "{data}", "--out-dir", "{data}", *FAST],
+], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau", "out-dir-is-a-file"])
 def test_user_errors_exit_2_without_traceback(argv, dataset_path, tmp_path):
     argv = [a.format(data=dataset_path, tmp=tmp_path) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "rankwin.cli", *argv],

@@ -130,27 +130,37 @@ def test_noiseless_oracle_converges_geometrically_too():
         assert trace.converged
 
 
-def test_two_cycle_keeps_smaller_rho_estimate():
+def run_phase(phase, estimator, max_iter=10):
+    """Run one phase from 30 with truth 30; the local phase uses a single
+    group spanning the domain, so both phases evaluate the same windows."""
+    if phase == "global":
+        return run_global(estimator, None, ARI3, None, DOMAIN, truth=30, init=30,
+                          max_iter=max_iter)
+    return run_local(30, estimator, [RankGroup(0, 1, 80, 1, 80)], None, ARI3, None,
+                     DOMAIN, truth=30, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("phase", ["global", "local"])
+def test_two_cycle_keeps_smaller_rho_estimate(phase):
     # 30 -> 31 on rho 0.2, then 31 -> 30 on rho -0.34: the second iteration
     # regressed harder, so the halt keeps 31
-    final, trace = run_global(ScriptedRho([0.2, -0.34]), None, ARI3, None,
-                              DOMAIN, truth=30, init=30)
+    final, trace = run_phase(phase, ScriptedRho([0.2, -0.34]))
     assert [r.estimate for r in trace.records] == [31, 30]
     assert final == 31
     assert not trace.converged
 
 
-def test_two_cycle_tie_keeps_later_estimate():
-    final, trace = run_global(ScriptedRho([1 / 3, -1 / 3]), None, ARI3, None,
-                              DOMAIN, truth=30, init=30)
+@pytest.mark.parametrize("phase", ["global", "local"])
+def test_two_cycle_tie_keeps_later_estimate(phase):
+    final, trace = run_phase(phase, ScriptedRho([1 / 3, -1 / 3]))
     assert final == 30
     assert not trace.converged
 
 
-def test_stochastic_estimator_disables_cycle_guard():
+@pytest.mark.parametrize("phase", ["global", "local"])
+def test_stochastic_estimator_disables_cycle_guard(phase):
     values = [0.2, -0.34] * 5  # would two-cycle forever
-    final, trace = run_global(ScriptedRho(values, stochastic=True), None, ARI3,
-                              None, DOMAIN, truth=30, init=30, max_iter=6)
+    final, trace = run_phase(phase, ScriptedRho(values, stochastic=True), max_iter=6)
     assert trace.iterations == 6
     assert not trace.converged
     assert final == trace.records[-1].estimate
@@ -162,8 +172,6 @@ def test_run_global_validation():
     with pytest.raises(ConfigError):
         run_global(OracleRegressor(), None, ARI3, None, DOMAIN, truth=5,
                    init=5, max_iter=0)
-    with pytest.raises(ConfigError, match="kNN start"):
-        run_global(OracleRegressor(), None, ARI3, None, DOMAIN, truth=5)
 
 
 def test_noisy_oracle_is_reproducible_per_seed():

@@ -5,6 +5,7 @@ compared against central finite differences computed through an independent
 reference forward pass (see gradcheck_utils for the ReLU-kink handling).
 """
 
+import json
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from gradcheck_utils import (random_small_model, run_gradient_checks,
                              sample_batch)
 from rankwin.errors import ConfigError, DataError, NumericalError, ShapeError
+from rankwin.fileio import pack_meta
 from rankwin.nets import (AdamState, EncoderSpec, HeadSpec, RelativeRegressor,
                           adam_step, load_checkpoint, model_digest,
                           save_checkpoint)
@@ -216,6 +218,18 @@ def test_checkpoint_without_optimizer(tmp_path):
     loaded, opt = load_checkpoint(path)
     assert opt is None
     assert model_digest(loaded) == model_digest(m)
+
+
+def test_checkpoint_of_unknown_format_version_is_refused(tmp_path):
+    path = os.path.join(tmp_path, "model.npz")
+    save_checkpoint(small_model(), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    arrays["meta"] = pack_meta({**meta, "format_version": 99})
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match="format version 99"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_missing_file_raises(tmp_path):

@@ -5,14 +5,16 @@ a time through the scalar gamma oracle below, so the vectorized grid scoring
 in the builder has an independent witness.
 """
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from rankwin.data import Dataset
-from rankwin.errors import (ConfigError, DigestMismatchError, SelectionError,
-                            ShapeError)
+from rankwin.errors import (ConfigError, DataError, DigestMismatchError,
+                            SelectionError, ShapeError)
+from rankwin.fileio import pack_meta
 from rankwin.nets import EncoderSpec, HeadSpec, RelativeRegressor, model_digest
 from rankwin.partition import RankGroup
 from rankwin.refdb import (IDENTITY_DIGEST, TABLE_COLUMNS, TAG_GLOBAL, TAG_RAW,
@@ -344,3 +346,16 @@ def test_load_rejects_stale_digest(tmp_path, small_db):
         load_database(path, {TAG_GLOBAL: "0" * 64})
     with pytest.raises(DigestMismatchError):
         load_database(path, {"absent": IDENTITY_DIGEST})
+
+
+def test_load_rejects_unknown_format_version(tmp_path, small_db):
+    _, _, db = small_db
+    path = os.path.join(tmp_path, "refdb.npz")
+    save_database(db, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    arrays["meta"] = pack_meta({**meta, "format_version": 99})
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match="format version 99"):
+        load_database(path)
