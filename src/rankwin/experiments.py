@@ -28,9 +28,9 @@ from rankwin.metrics import (EvalRecord, accuracy, cumulative_score,
 from rankwin.nets import (EncoderSpec, HeadSpec, RelativeRegressor,
                           load_checkpoint, model_digest, save_checkpoint)
 from rankwin.partition import RankGroup, partition_equal, partition_golden
-from rankwin.refdb import (SelectionKind, SelectionScheme, TAG_GLOBAL, TAG_RAW,
-                           build_database, load_database, local_tag,
-                           save_database)
+from rankwin.refdb import (TABLE_COLUMNS, SelectionKind, SelectionScheme,
+                           TAG_GLOBAL, TAG_RAW, build_database, load_database,
+                           local_tag, save_database)
 from rankwin.training import TrainConfig, train
 from rankwin.windows import RankRange, RankScale, ScaleKind
 
@@ -405,6 +405,10 @@ def inspect_run(out_dir: str) -> str:
             if table is not None:
                 gammas = table.gammas[:, 0]
                 lines.append(f"    min-gamma range [{gammas.min():.4f}, {gammas.max():.4f}]")
+                cols = dict(zip(TABLE_COLUMNS, table.ints.T.tolist()))
+                endpoints = len(set(zip(cols["low_rank"], cols["high_rank"])))
+                cells = sum(p * n for p, n in zip(cols["n_pairs_scored"], cols["pool_size"]))
+                lines.append(f"    endpoint pairs {endpoints} scored cells {cells}")
     for name in sorted(os.listdir(out_dir)):
         if name.endswith("metrics.csv"):
             with open(os.path.join(out_dir, name)) as fh:

@@ -238,6 +238,7 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
         domain=domain, alpha=alpha, features=features, digests=digests,
         tables=tables, pool_cap=pool_cap, pair_cap=pair_cap, seed=seed)
     populated = db.populated_ranks()
+    local_groups = {local_tag(i): group for i, group in enumerate(groups or ())}
     for tag, model in models.items():
         if model is None:
             features[tag] = dataset.features.copy()
@@ -250,9 +251,10 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
         features[tag] = encoded
         digests[tag] = model_digest(model)
         if tag.startswith("local"):
-            if groups is None:
-                raise ConfigError(f"tag {tag!r} needs its group geometry")
-            group = groups[int(tag[len("local"):])]
+            group = local_groups.get(tag)
+            if group is None:
+                raise ConfigError(
+                    f"tag {tag!r} names none of the {len(local_groups)} rank groups given")
             centers = range(group.theta_min, group.theta_max + 1)
             window_domain = group.extended_range
         else:

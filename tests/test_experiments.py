@@ -21,7 +21,8 @@ from rankwin.experiments import (METRICS_COLUMNS, ExperimentManifest,
                                  run_simulate, run_sweep, run_train)
 from rankwin.fileio import atomic_open
 from rankwin.nets import load_checkpoint, save_checkpoint
-from rankwin.refdb import TAG_GLOBAL, load_database, local_tag, save_database
+from rankwin.refdb import (TABLE_COLUMNS, TAG_GLOBAL, load_database, local_tag,
+                           save_database)
 from rankwin.windows import RankRange
 
 
@@ -345,3 +346,11 @@ def test_inspect_summarises_a_finished_run(trained_run, dataset_path):
     assert "reference database: " in text
     assert "metrics.csv:" in text
     assert TAG_GLOBAL in text
+    lines = text.splitlines()
+    db = load_database(os.path.join(out, "refdb.npz"))
+    for tag, table in db.tables.items():
+        rows = [dict(zip(TABLE_COLUMNS, row)) for row in table.ints.tolist()]
+        endpoints = len({(r["low_rank"], r["high_rank"]) for r in rows})
+        cells = sum(r["n_pairs_scored"] * r["pool_size"] for r in rows)
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"  {tag}: "))
+        assert lines[at + 2] == f"    endpoint pairs {endpoints} scored cells {cells}"

@@ -7,6 +7,9 @@ reference forward pass (see gradcheck_utils for the ReLU-kink handling).
 
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +96,67 @@ def test_regress_grid_matches_regress_pairwise():
         for i in range(5):
             direct = m.regress(x[i], y1[j], y2[j])
             assert grid[j, i] == pytest.approx(direct, abs=1e-14)
+
+
+def one_shot_grid(model, x, y1, y2):
+    """The unblocked grid: the whole (pairs, pool, width) first layer at once."""
+    d = model.feature_dim
+    w1, b1 = model._head.weights[0], model._head.biases[0]
+    part_refs = y1 @ w1[d:2 * d] + y2 @ w1[2 * d:] + b1
+    h1 = np.maximum((x @ w1[:d])[None, :, :] + part_refs[:, None, :], 0.0)
+    m, n, width = h1.shape
+    out, _ = model._head.forward_cached(h1.reshape(m * n, width), start=1)
+    return out[:, 0].reshape(m, n)
+
+
+def check_blocked_grid_is_bit_exact():
+    """Every pool size and pair count gives exactly the one-shot cells.
+
+    The pool sizes include odd ones and ones whose last block is partial.
+    """
+    model = RelativeRegressor(EncoderSpec(6, (12,), 16), seed=3)
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 130, 175, 218, 255, 256):
+        x = rng.normal(size=(n, 16))
+        for m in (1, 3, 41, 64):
+            y1, y2 = rng.normal(size=(2, m, 16))
+            assert np.array_equal(model.regress_grid(x, y1, y2),
+                                  one_shot_grid(model, x, y1, y2)), (m, n)
+
+
+def test_regress_grid_blocks_are_bit_exact():
+    # With several BLAS threads the one-shot product splits its rows across
+    # threads, so the check runs where the pinned runs do: on one BLAS thread.
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([here, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from test_nets import check_blocked_grid_is_bit_exact as check; check()"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_regress_grid_of_empty_inputs_keeps_its_shape():
+    m = small_model()
+    feats = np.zeros((3, ENC.output_dim))
+    assert m.regress_grid(feats[:0], feats[:2], feats[:2]).shape == (2, 0)
+    assert m.regress_grid(feats, feats[:0], feats[:0]).shape == (0, 3)
+
+
+def test_regress_grid_memory_is_bounded_per_block():
+    model = RelativeRegressor(EncoderSpec(6, (12,), 16), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(256, 16))
+    y1, y2 = rng.normal(size=(2, 64, 16))
+    tracemalloc.start()
+    try:
+        model.regress_grid(x, y1, y2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # the whole (64, 256, 256) first layer alone is 33.5 MB
 
 
 def test_loss_zero_at_own_predictions_kills_all_gradients():

@@ -209,6 +209,31 @@ def test_local_tag_without_groups_raises():
         build_database(ds, {local_tag(0): real_model()}, ARI2, ds.rank_domain)
 
 
+@pytest.mark.parametrize("tag", ["localx", "local", "local-1", "local2"])
+def test_local_tag_naming_no_group_raises(tag):
+    ds = rank_dataset(list(range(1, 25)) * 2)
+    groups = [RankGroup(0, 1, 10, 1, 14), RankGroup(1, 11, 24, 7, 24)]
+    with pytest.raises(ConfigError, match=repr(tag)):
+        build_database(ds, {tag: real_model()}, ARI2, ds.rank_domain, groups=groups)
+
+
+def test_table_counts_the_cells_regress_grid_scores(monkeypatch):
+    ds = rank_dataset(list(range(1, 13)) * 3)
+    scored = []
+    grid = RelativeRegressor.regress_grid
+
+    def counting_grid(self, *args):
+        out = grid(self, *args)
+        scored.append(out.size)
+        return out
+
+    monkeypatch.setattr(RelativeRegressor, "regress_grid", counting_grid)
+    db = build_database(ds, {TAG_GLOBAL: real_model()}, ARI2, ds.rank_domain,
+                        pool_cap=20, pair_cap=5)
+    entries = table_entries(db.tables[TAG_GLOBAL]).values()
+    assert sum(scored) == sum(e["n_pairs_scored"] * e["pool_size"] for e in entries)
+
+
 def test_build_rejects_wrong_feature_width():
     ds = rank_dataset(list(range(1, 8)) * 2, feature_dim=5)
     with pytest.raises(ShapeError):
