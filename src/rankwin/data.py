@@ -152,7 +152,7 @@ def load_dataset(path: str, *, split_seed: int = 0,
                     sigma = float(row[pos])
                 except ValueError:
                     raise DataError(f"{path} row {row_num}: bad sigma {row[pos]!r}") from None
-                if not np.isfinite(sigma) or sigma <= 0:
+                if not math.isfinite(sigma) or sigma <= 0:
                     raise DataError(f"{path} row {row_num}: sigma must be finite and > 0")
                 sigmas.append(sigma)
                 pos += 1
@@ -165,10 +165,10 @@ def load_dataset(path: str, *, split_seed: int = 0,
             else:
                 splits.append(assign_split(instance_id, split_seed))
             try:
-                feats = [float(v) for v in row[pos:]]
+                feats = list(map(float, row[pos:]))
             except ValueError:
                 raise DataError(f"{path} row {row_num}: non-numeric feature value") from None
-            if not all(np.isfinite(feats)):
+            if not all(map(math.isfinite, feats)):
                 raise DataError(f"{path} row {row_num}: non-finite feature value")
             ids.append(instance_id)
             ranks.append(rank)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import os
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -53,6 +55,8 @@ REFDB_NAME = "refdb.npz"
 METRICS_COLUMNS = ("run_id", "split", "mae", "cs5", "eps_error", "accuracy",
                    "mean_iters", "converged_pct")
 PARTITIONS = ("golden5", "equal3", "none")
+
+log = logging.getLogger(__name__)
 
 
 def file_digest(path: str) -> str:
@@ -196,10 +200,18 @@ def run_train(dataset_path: str, manifest: ExperimentManifest, out_dir: str) -> 
     head = HeadSpec(manifest.head_dims)
     run_id = manifest.run_id
     log_rows: list[str] = ["run_id,model_key,epoch,mean_loss"]
+    last = time.perf_counter()
+
+    def on_epoch(key: int, epoch: int, loss: float) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        log_rows.append(f"{run_id},{key},{epoch},{loss:.8f}")
+        log.info("train model %d epoch %d: mean loss %.6f, %.2f s", key, epoch, loss, now - last)
+        last = now
+
     global_model, local_models = train(
         train_ds, manifest.train_config(), groups, encoder=encoder, head=head,
-        on_epoch=lambda key, epoch, loss: log_rows.append(
-            f"{run_id},{key},{epoch},{loss:.8f}"))
+        on_epoch=on_epoch)
     write_manifest(manifest, out_dir)
     save_checkpoint(global_model, os.path.join(out_dir, "global.npz"), run_id=run_id)
     for i, model in enumerate(local_models):
@@ -407,8 +419,7 @@ def inspect_run(out_dir: str) -> str:
                 lines.append(f"    min-gamma range [{gammas.min():.4f}, {gammas.max():.4f}]")
                 cols = dict(zip(TABLE_COLUMNS, table.ints.T.tolist()))
                 endpoints = len(set(zip(cols["low_rank"], cols["high_rank"])))
-                cells = sum(p * n for p, n in zip(cols["n_pairs_scored"], cols["pool_size"]))
-                lines.append(f"    endpoint pairs {endpoints} scored cells {cells}")
+                lines.append(f"    endpoint pairs {endpoints} scored cells {table.scored_cells}")
     for name in sorted(os.listdir(out_dir)):
         if name.endswith("metrics.csv"):
             with open(os.path.join(out_dir, name)) as fh:

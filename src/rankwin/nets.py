@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +75,26 @@ class HeadSpec:
             raise ConfigError(f"head dims must be positive ints, got {self.layer_dims}")
 
 
+def _layer_shapes(input_dim: int, layer_dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Weight and bias shapes of a dense stack, in ``parameters()`` order."""
+    shapes: list[tuple[int, ...]] = []
+    fan_in = input_dim
+    for width in layer_dims:
+        shapes += [(fan_in, width), (width,)]
+        fan_in = width
+    return shapes
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive reshaped views of ``flat``, one per shape."""
+    out, lo = [], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        out.append(flat[lo:hi].reshape(shape))
+        lo = hi
+    return out
+
+
 class _Mlp:
     """Fully connected stack: ReLU hidden layers, configurable final activation."""
 
@@ -83,18 +103,6 @@ class _Mlp:
         self.weights = weights
         self.biases = biases
         self.final = final
-
-    @classmethod
-    def initialize(cls, input_dim: int, layer_dims: tuple[int, ...], final: str,
-                   rng: np.random.Generator) -> "_Mlp":
-        weights, biases = [], []
-        fan_in = input_dim
-        for width in layer_dims:
-            bound = np.sqrt(6.0 / fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, width)))
-            biases.append(np.zeros(width))
-            fan_in = width
-        return cls(weights, biases, final)
 
     def _activate(self, z: np.ndarray, layer: int) -> np.ndarray:
         if layer < len(self.weights) - 1:
@@ -108,18 +116,20 @@ class _Mlp:
         acts = [x]
         for i in range(start, len(self.weights)):
             a = self._activate(acts[-1] @ self.weights[i] + self.biases[i], i)
-            if check is not None and not np.all(np.isfinite(a)):
+            if check is not None and not np.isfinite(a).all():
                 raise NumericalError(f"non-finite activations after {check} layer {i}")
             acts.append(a)
         return acts[-1], acts
 
-    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray):
+    def backward(self, acts: list[np.ndarray], grad_out: np.ndarray,
+                 grads: list[np.ndarray], input_grad: bool = True) -> np.ndarray | None:
         """Gradients of a scalar loss given d(loss)/d(output).
 
-        Returns (d(loss)/d(input), parameter grads aligned with ``parameters()``).
+        Writes the parameter grads into ``grads``, arrays aligned with
+        ``parameters()``, and returns d(loss)/d(input), or None without
+        ``input_grad``.
         """
         n_layers = len(self.weights)
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * n_layers)
         g = grad_out
         for i in reversed(range(n_layers)):
             a_in, a_out = acts[i], acts[i + 1]
@@ -127,10 +137,12 @@ class _Mlp:
                 g = g * (1.0 - a_out * a_out)
             elif i < n_layers - 1:
                 g = g * (a_out > 0.0)
-            grads[2 * i] = a_in.T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+            np.matmul(a_in.T, g, out=grads[2 * i])
+            g.sum(axis=0, out=grads[2 * i + 1])
+            if i == 0 and not input_grad:
+                return None
             g = g @ self.weights[i].T
-        return g, grads
+        return g
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -148,9 +160,22 @@ class RelativeRegressor:
         self.encoder_spec = encoder
         self.head_spec = head if head is not None else HeadSpec()
         self.seed = seed
+        enc_shapes = _layer_shapes(encoder.input_dim, encoder.layer_dims)
+        self._shapes = enc_shapes + _layer_shapes(3 * encoder.output_dim,
+                                                  self.head_spec.layer_dims)
+        self._n_encoder = len(enc_shapes)
+        # every weight and bias is a view into this one vector, which is what
+        # lets the optimizer update them all with a few whole-vector ufuncs
+        self.flat = np.zeros(sum(math.prod(s) for s in self._shapes))
+        params = _views(self.flat, self._shapes)
+        n = self._n_encoder
+        self._encoder = _Mlp(params[0:n:2], params[1:n:2], "linear")
+        self._head = _Mlp(params[n::2], params[n + 1::2], "tanh")
+        # uniform fan-in init, encoder then head, layer by layer; biases stay 0
         rng = np.random.default_rng(seed)
-        self._encoder = _Mlp.initialize(encoder.input_dim, encoder.layer_dims, "linear", rng)
-        self._head = _Mlp.initialize(3 * encoder.output_dim, self.head_spec.layer_dims, "tanh", rng)
+        for w in self._encoder.weights + self._head.weights:
+            bound = np.sqrt(6.0 / w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     @property
     def input_dim(self) -> int:
@@ -161,7 +186,7 @@ class RelativeRegressor:
         return self.encoder_spec.output_dim
 
     def parameters(self) -> list[np.ndarray]:
-        """All trainable arrays, encoder first; mutated in place by the optimizer."""
+        """All trainable arrays, encoder first: views into :attr:`flat`."""
         return self._encoder.parameters() + self._head.parameters()
 
     def _as_batch(self, arr, dim: int, name: str) -> tuple[np.ndarray, bool]:
@@ -236,57 +261,85 @@ class RelativeRegressor:
             raise ShapeError("triplet batch arrays must share their first dimension")
         if len(rho) == 0:
             raise ShapeError("empty batch")
-        if np.any(np.abs(rho) > 1.0) or not np.all(np.isfinite(rho)):
+        if (np.abs(rho) > 1.0).any() or not np.isfinite(rho).all():
             raise DataError("target relative ranks must lie in [-1, 1]")
         n = len(rho)
-        stacked = np.vstack([xb, y1b, y2b])
-        feats, enc_acts = self._encoder.forward_cached(stacked, check="encoder")
-        fx, f1, f2 = np.split(feats, 3, axis=0)
-        out, head_acts = self._head.forward_cached(np.hstack([fx, f1, f2]), check="head")
+        feats, enc_acts = self._encoder.forward_cached(np.vstack([xb, y1b, y2b]), check="encoder")
+        # (3n, d) rows [x; y1; y2] -> (n, 3d) rows [x | y1 | y2], and back below
+        d = self.feature_dim
+        triples = feats.reshape(3, n, d).transpose(1, 0, 2).reshape(n, 3 * d)
+        out, head_acts = self._head.forward_cached(triples, check="head")
         pred = out[:, 0]
         loss = float(np.mean((pred - rho) ** 2))
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss")
         grad_pred = (2.0 / n) * (pred - rho)
-        grad_in, head_grads = self._head.backward(head_acts, grad_pred[:, None])
-        _, enc_grads = self._encoder.backward(enc_acts, np.vstack(np.split(grad_in, 3, axis=1)))
-        return loss, enc_grads + head_grads
+        grads = _views(np.empty_like(self.flat), self._shapes)
+        grad_in = self._head.backward(head_acts, grad_pred[:, None], grads[self._n_encoder:])
+        grad_feats = grad_in.reshape(n, 3, d).transpose(1, 0, 2).reshape(3 * n, d)
+        self._encoder.backward(enc_acts, grad_feats, grads[:self._n_encoder], input_grad=False)
+        return loss, grads
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators, aligned with ``model.parameters()``."""
+    """First/second moment accumulators laid out like ``model.flat``.
 
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    ``m`` and ``v`` are views aligned with ``model.parameters()`` into the
+    flat ``m_flat`` and ``v_flat``; two more flat buffers are the step's
+    scratch space.
+    """
+
+    def __init__(self, shapes: list[tuple[int, ...]]):
+        size = sum(math.prod(s) for s in shapes)
+        self.step = 0
+        self.m_flat = np.zeros(size)
+        self.v_flat = np.zeros(size)
+        self.m = _views(self.m_flat, shapes)
+        self.v = _views(self.v_flat, shapes)
+        self._scratch = (np.empty(size), np.empty(size))
 
     @classmethod
     def for_model(cls, model: RelativeRegressor) -> "AdamState":
-        params = model.parameters()
-        return cls(step=0,
-                   m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        return cls([p.shape for p in model.parameters()])
 
 
 def adam_step(model: RelativeRegressor, grads: list[np.ndarray], state: AdamState,
               lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[RelativeRegressor, AdamState]:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction.
+
+    It runs once over the whole flat parameter vector, in the elementwise
+    order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` after the moment
+    updates, so each parameter gets the bits a per-array update would give.
+    """
     params = model.parameters()
     if len(grads) != len(params) or len(state.m) != len(params):
         raise ShapeError("gradient/state lists do not match model parameters")
+    for p, g, m in zip(params, grads, state.m):
+        if p.shape != g.shape or p.shape != m.shape:
+            raise ShapeError(f"gradient {g.shape} or moment {m.shape} does not match "
+                             f"parameter {p.shape}")
     state.step += 1
     correct1 = 1.0 - beta1 ** state.step
     correct2 = 1.0 - beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+    g, t = state._scratch
+    m, v, p = state.m_flat, state.v_flat, model.flat
+    np.concatenate(grads, axis=None, out=g)
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=t)
+    m += t
+    v *= beta2
+    np.multiply(g, g, out=t)
+    t *= 1.0 - beta2
+    v += t
+    np.divide(m, correct1, out=t)
+    t *= lr
+    u = g  # the gradient is spent; its buffer holds the denominator
+    np.divide(v, correct2, out=u)
+    np.sqrt(u, out=u)
+    u += eps
+    t /= u
+    p -= t
     return model, state
 
 
@@ -334,6 +387,15 @@ def save_checkpoint(model: RelativeRegressor, path: str,
         np.savez(fh, **arrays)
 
 
+def _fill_from(data, prefix: str, arrays: list[np.ndarray]) -> None:
+    """Copy the saved ``{prefix}_000``, ``{prefix}_001``, ... into ``arrays`` in place."""
+    for i, arr in enumerate(arrays):
+        saved = data[f"{prefix}_{i:03d}"]
+        if saved.shape != arr.shape:
+            raise DataError(f"checkpoint {prefix} {i} has shape {saved.shape}, expected {arr.shape}")
+        arr[...] = saved
+
+
 def load_checkpoint(path: str, run_id: str | None = None,
                     ) -> tuple[RelativeRegressor, AdamState | None]:
     """Rebuild a model bit-exactly from :func:`save_checkpoint` output.
@@ -348,17 +410,11 @@ def load_checkpoint(path: str, run_id: str | None = None,
             HeadSpec(tuple(meta["head"]["layer_dims"])),
             seed=meta["seed"],
         )
-        params = model.parameters()
-        for i, p in enumerate(params):
-            saved = data[f"param_{i:03d}"]
-            if saved.shape != p.shape:
-                raise DataError(f"checkpoint parameter {i} has shape {saved.shape}, expected {p.shape}")
-            p[...] = saved
+        _fill_from(data, "param", model.parameters())
         optimizer = None
         if meta.get("has_optimizer"):
-            optimizer = AdamState(
-                step=int(meta["adam_step"]),
-                m=[np.array(data[f"adam_m_{i:03d}"]) for i in range(len(params))],
-                v=[np.array(data[f"adam_v_{i:03d}"]) for i in range(len(params))],
-            )
+            optimizer = AdamState.for_model(model)
+            optimizer.step = int(meta["adam_step"])
+            _fill_from(data, "adam_m", optimizer.m)
+            _fill_from(data, "adam_v", optimizer.v)
     return model, optimizer

@@ -11,6 +11,8 @@ records each model's parameter digest, so a stale database refuses to load.
 from __future__ import annotations
 
 import enum
+import logging
+import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -49,6 +51,8 @@ IDENTITY_DIGEST = "identity"
 
 _STREAM_POOL = 11
 _STREAM_PAIRS = 12
+
+log = logging.getLogger(__name__)
 
 
 def local_tag(group_index: int) -> str:
@@ -101,6 +105,12 @@ class PairTable:
 
     def __len__(self) -> int:
         return len(self.ints)
+
+    @property
+    def scored_cells(self) -> int:
+        """(pair, pool instance) cells scored over every window."""
+        pairs = self.ints[:, TABLE_COLUMNS.index("n_pairs_scored")]
+        return int(pairs @ self.ints[:, TABLE_COLUMNS.index("pool_size")])
 
 
 @dataclass
@@ -247,6 +257,7 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
         if model.input_dim != dataset.feature_dim:
             raise ShapeError(
                 f"model {tag!r} expects {model.input_dim} features, dataset has {dataset.feature_dim}")
+        started = time.perf_counter()
         encoded = model.encode(dataset.features)
         features[tag] = encoded
         digests[tag] = model_digest(model)
@@ -270,8 +281,10 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
                 gammas.append(scored[1])
         if not ints:
             raise ConfigError(f"no usable windows for model {tag!r}; dataset too sparse")
-        tables[tag] = PairTable(np.array(ints, dtype=np.int64),
-                                np.array(gammas, dtype=np.float64))
+        table = PairTable(np.array(ints, dtype=np.int64), np.array(gammas, dtype=np.float64))
+        tables[tag] = table
+        log.info("refdb %s: %d windows, %d scored cells, %.2f s", tag, len(table),
+                 table.scored_cells, time.perf_counter() - started)
     return db
 
 

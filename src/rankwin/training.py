@@ -114,7 +114,8 @@ def sample_triplets(dataset: Dataset, config: TrainConfig,
     With a group, only instances inside its extended range are eligible and
     windows must intersect that range.  Instances whose rank admits no valid
     window are skipped; if that leaves nothing, the data is too sparse for
-    the scale and a ConfigError names the uncovered ranks.
+    the scale and a ConfigError names the uncovered ranks, or the group when
+    no instance falls in its extended range.
     """
     if config.scale.is_geometric and len(dataset) and dataset.ranks.min() < 1:
         raise ConfigError(f"geometric scale needs ranks >= 1, got {dataset.ranks.min()}")
@@ -148,6 +149,10 @@ def sample_triplets(dataset: Dataset, config: TrainConfig,
             y2 = int(pool_high[rng.integers(len(pool_high))])
             samples.append((pos, y1, y2, relative_rank(rank, low, high, config.scale)))
     if not samples and len(dataset):
+        if not eligible:
+            raise ConfigError(
+                f"no training instance falls in rank group {group.index}'s extended range "
+                f"[{group.extended_min}, {group.extended_max}]")
         raise ConfigError(
             f"no valid training windows; ranks without usable centers: {sorted(skipped_ranks)}")
     return np.array(samples, dtype=_TRIPLET_DTYPE).view(np.recarray)
@@ -166,17 +171,18 @@ def train_single(dataset: Dataset, config: TrainConfig, model: RelativeRegressor
         triplets = sample_triplets(dataset, config, group, epoch=epoch, model_key=model_key)
         order = np.random.default_rng(
             [config.seed, _STREAM_EPOCH, model_key, epoch]).permutation(len(triplets))
-        total, count = 0.0, 0
+        # the epoch's columns in shuffled order, so each batch is a slice; the
+        # feature rows are gathered per batch to keep memory at one batch
+        x, y1, y2, rho = (triplets[col][order] for col in ("x", "y1", "y2", "rho_true"))
+        total = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = slice(start, start + config.batch_size)
             loss, grads = model.loss_and_gradients(
-                feats[triplets.x[batch]], feats[triplets.y1[batch]],
-                feats[triplets.y2[batch]], triplets.rho_true[batch])
+                feats[x[batch]], feats[y1[batch]], feats[y2[batch]], rho[batch])
             adam_step(model, grads, state, lr=config.lr)
-            total += loss * len(batch)
-            count += len(batch)
+            total += loss * len(rho[batch])
         if on_epoch is not None:
-            on_epoch(model_key, epoch, total / max(1, count))
+            on_epoch(model_key, epoch, total / max(1, len(order)))
     return model
 
 

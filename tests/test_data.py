@@ -69,7 +69,11 @@ def test_save_load_round_trip(tmp_path):
     ("id,rank,f0\na,3.5,1\n", "row 1: rank"),
     ("id,rank,f0\na,3,oops\n", "row 1: non-numeric"),
     ("id,rank,f0\na,3,nan\n", "row 1: non-finite"),
+    ("id,rank,f0,f1\na,3,1,2\nb,4,2,inf\n", "row 2: non-finite"),
+    ("id,rank,f0\na,3,-inf\na,4,2\n", "row 1: non-finite"),  # before the duplicate id
     ("id,rank,sigma,f0\na,3,-1,1\n", "row 1: sigma"),
+    ("id,rank,sigma,f0\na,3,nan,1\n", "row 1: sigma must be finite"),
+    ("id,rank,sigma,f0\na,3,-inf,1\n", "row 1: sigma must be finite"),
     ("id,rank,sigma,f0\na,3,zz,1\n", "row 1: bad sigma"),
     ("id,rank,split,f0\na,3,dev,1\n", "row 1: unknown split"),
     ("id,rank,f0\n", "no data rows"),

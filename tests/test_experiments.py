@@ -7,8 +7,11 @@ The trained-run fixture is shared module-wide; tests only read from it.
 
 import dataclasses
 import json
+import logging
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +156,40 @@ def test_train_log_shape_and_run_id(trained_run):
     # one row per (model, epoch): the global model plus five locals
     assert len(lines) - 1 == manifest.epochs * 6
     assert all(line.startswith(manifest.run_id + ",") for line in lines[1:])
+
+
+def test_train_and_refdb_log_progress(dataset_path, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="rankwin")
+    out = str(tmp_path)
+    run_train(dataset_path, small_manifest(file_digest(dataset_path)), out)
+    with open(os.path.join(out, "train_log.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == len(rows) == 12
+    for (_, key, epoch, loss), msg in zip(rows, messages):
+        assert msg.startswith(f"train model {key} epoch {epoch}: mean loss {float(loss):.6f}, ")
+        assert msg.endswith(" s")
+    caplog.clear()
+    run_build_refdb(dataset_path, out)
+    db = load_database(os.path.join(out, "refdb.npz"))
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == len(db.tables) == 6
+    for (tag, table), msg in zip(db.tables.items(), messages):
+        assert msg.startswith(f"refdb {tag}: {len(table)} windows, "
+                              f"{table.scored_cells} scored cells, ")
+
+
+def test_library_is_silent_without_logging_config(dataset_path, tmp_path):
+    code = ("import sys; from rankwin.experiments import file_digest, run_train; "
+            "from test_experiments import small_manifest; "
+            "run_train(sys.argv[1], small_manifest(file_digest(sys.argv[1])), sys.argv[2])")
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([here, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, dataset_path, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == proc.stderr == ""
 
 
 def test_checkpoints_carry_the_run_id(trained_run):

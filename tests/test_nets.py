@@ -246,6 +246,165 @@ def test_adam_rejects_mismatched_gradients():
         adam_step(m, m.parameters()[:-1], state)
 
 
+# Oracles: the per-array arithmetic the flat layout replaced.  The flat
+# versions must reproduce them bit for bit.
+
+def oracle_init(encoder, head, seed):
+    """Parameters drawn as separate arrays, in ``parameters()`` order."""
+    rng = np.random.default_rng(seed)
+    params = []
+    for fan_in, dims in ((encoder.input_dim, encoder.layer_dims),
+                         (3 * encoder.output_dim, head.layer_dims)):
+        for width in dims:
+            bound = np.sqrt(6.0 / fan_in)
+            params += [rng.uniform(-bound, bound, size=(fan_in, width)), np.zeros(width)]
+            fan_in = width
+    return params
+
+
+def _oracle_forward(layers, a, final):
+    acts = [a]
+    n_layers = len(layers) // 2
+    for i in range(n_layers):
+        z = acts[-1] @ layers[2 * i] + layers[2 * i + 1]
+        if i < n_layers - 1:
+            z = np.maximum(z, 0.0)
+        elif final == "tanh":
+            z = np.tanh(z)
+        acts.append(z)
+    return acts
+
+
+def _oracle_backward(layers, acts, g, final):
+    n_layers = len(layers) // 2
+    grads = [None] * len(layers)
+    for i in reversed(range(n_layers)):
+        a_in, a_out = acts[i], acts[i + 1]
+        if i == n_layers - 1 and final == "tanh":
+            g = g * (1.0 - a_out * a_out)
+        elif i < n_layers - 1:
+            g = g * (a_out > 0.0)
+        grads[2 * i] = a_in.T @ g
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ layers[2 * i].T
+    return g, grads
+
+
+def oracle_loss_and_gradients(params, n_encoder_arrays, x, y1, y2, rho):
+    """Loss and grads through split/vstack/hstack copies, one array per grad."""
+    enc, head = params[:n_encoder_arrays], params[n_encoder_arrays:]
+    n = len(rho)
+    enc_acts = _oracle_forward(enc, np.vstack([x, y1, y2]), "linear")
+    fx, f1, f2 = np.split(enc_acts[-1], 3, axis=0)
+    head_acts = _oracle_forward(head, np.hstack([fx, f1, f2]), "tanh")
+    pred = head_acts[-1][:, 0]
+    loss = float(np.mean((pred - rho) ** 2))
+    grad_in, head_grads = _oracle_backward(head, head_acts, ((2.0 / n) * (pred - rho))[:, None],
+                                           "tanh")
+    _, enc_grads = _oracle_backward(enc, enc_acts, np.vstack(np.split(grad_in, 3, axis=1)),
+                                    "linear")
+    return loss, enc_grads + head_grads
+
+
+def oracle_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    correct1 = 1.0 - beta1 ** step
+    correct2 = 1.0 - beta2 ** step
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * (g * g)
+        p -= lr * (mi / correct1) / (np.sqrt(vi / correct2) + eps)
+
+
+@pytest.mark.parametrize("encoder, head", [
+    (ENC, HeadSpec((10, 6, 1))),
+    (EncoderSpec(16, (32,), 16), HeadSpec()),  # the benchmark's shapes
+])
+def test_flat_training_matches_per_array_oracle(encoder, head):
+    model = RelativeRegressor(encoder, head, seed=5)
+    params = oracle_init(encoder, head, seed=5)
+    for p, q in zip(model.parameters(), params):
+        assert np.array_equal(p, q)
+    n_enc = 2 * len(encoder.layer_dims)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    state = AdamState.for_model(model)
+    rng = np.random.default_rng(8)
+    for step in range(1, 201):
+        n = int(rng.integers(1, 21))
+        x, y1, y2 = rng.normal(size=(3, n, encoder.input_dim))
+        rho = rng.uniform(-1, 1, n)
+        loss, grads = model.loss_and_gradients(x, y1, y2, rho)
+        want_loss, want_grads = oracle_loss_and_gradients(params, n_enc, x, y1, y2, rho)
+        assert loss == want_loss
+        for g, want in zip(grads, want_grads, strict=True):
+            assert np.array_equal(g, want)
+        adam_step(model, grads, state, lr=1e-3)
+        oracle_adam_step(params, want_grads, m, v, step, lr=1e-3)
+        for got, want in zip(model.parameters() + state.m + state.v, params + m + v, strict=True):
+            assert np.array_equal(got, want), step
+
+
+def assert_flat(model, state=None):
+    """Every parameter (and moment) array is a view into its flat vector."""
+    assert sum(p.size for p in model.parameters()) == model.flat.size
+    for p in model.parameters():
+        assert np.shares_memory(p, model.flat)
+    if state is not None:
+        for a, b in zip(state.m, state.v, strict=True):
+            assert np.shares_memory(a, state.m_flat)
+            assert np.shares_memory(b, state.v_flat)
+
+
+def test_parameters_are_consecutive_views_of_the_flat_vector(tmp_path):
+    m = small_model(2)
+    assert_flat(m)
+    m.flat[:] = np.arange(m.flat.size)
+    assert np.array_equal(np.concatenate([p.ravel() for p in m.parameters()]),
+                          np.arange(m.flat.size))
+
+    m = small_model(2)
+    state = AdamState.for_model(m)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x, y1, y2 = rng.normal(size=(3, 4, 6))
+        adam_step(m, m.loss_and_gradients(x, y1, y2, rng.uniform(-1, 1, 4))[1], state)
+    assert_flat(m, state)
+    path = os.path.join(tmp_path, "model.npz")
+    save_checkpoint(m, path, optimizer=state)
+    loaded, opt = load_checkpoint(path)
+    assert_flat(loaded, opt)
+    assert np.array_equal(loaded.flat, m.flat)
+    assert np.array_equal(opt.m_flat, state.m_flat)
+    assert np.array_equal(opt.v_flat, state.v_flat)
+
+
+def test_resumed_training_equals_uninterrupted(tmp_path):
+    rng = np.random.default_rng(12)
+    batches = [(rng.normal(size=(3, 5, 6)), rng.uniform(-1, 1, 5)) for _ in range(12)]
+
+    def run(model, state, part):
+        for (x, y1, y2), rho in part:
+            adam_step(model, model.loss_and_gradients(x, y1, y2, rho)[1], state, lr=1e-3)
+
+    whole = small_model(4)
+    whole_state = AdamState.for_model(whole)
+    run(whole, whole_state, batches)
+
+    first = small_model(4)
+    first_state = AdamState.for_model(first)
+    run(first, first_state, batches[:7])
+    path = os.path.join(tmp_path, "model.npz")
+    save_checkpoint(first, path, optimizer=first_state)
+    resumed, resumed_state = load_checkpoint(path)
+    run(resumed, resumed_state, batches[7:])
+    assert resumed_state.step == whole_state.step == 12
+    assert model_digest(resumed) == model_digest(whole)
+    assert np.array_equal(resumed_state.m_flat, whole_state.m_flat)
+    assert np.array_equal(resumed_state.v_flat, whole_state.v_flat)
+
+
 def test_model_digest_tracks_parameters():
     a, b = small_model(3), small_model(3)
     assert model_digest(a) == model_digest(b)

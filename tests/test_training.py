@@ -11,9 +11,11 @@ import pytest
 
 from rankwin.data import Dataset, SyntheticSpec, generate_synthetic
 from rankwin.errors import ConfigError
-from rankwin.nets import EncoderSpec, model_digest
+from rankwin.nets import (AdamState, EncoderSpec, RelativeRegressor, adam_step,
+                          model_digest)
 from rankwin.partition import RankGroup
-from rankwin.training import TrainConfig, sample_triplets, train
+from rankwin.training import (_STREAM_EPOCH, TrainConfig, sample_triplets, train,
+                              train_single)
 from rankwin.windows import RankRange, RankScale
 
 ARI3 = RankScale.arithmetic(3)
@@ -73,6 +75,13 @@ def test_unusable_data_raises_and_names_ranks():
     ds = rank_dataset([5, 11])
     with pytest.raises(ConfigError, match=r"\[5, 11\]"):
         sample_triplets(ds, config())
+
+
+def test_group_without_instances_is_named():
+    ranks = np.arange(300) % 20 + 1
+    ds = rank_dataset(ranks)
+    with pytest.raises(ConfigError, match=r"rank group 0's extended range \[50, 60\]"):
+        sample_triplets(ds, config(), RankGroup(0, 50, 60, 50, 60))
 
 
 def test_geometric_scale_rejects_rank_zero():
@@ -198,3 +207,41 @@ def test_synthetic_end_to_end_smoke():
                                           feature_dim=6, seed=1)).subset("train")
     gm, _ = train(ds, config(epochs=2), encoder=EncoderSpec(6, (8,), 4))
     assert gm.input_dim == 6
+
+
+def oracle_train_single(dataset, cfg, model, group=None, *, model_key=0):
+    """train_single as it gathered batches before: fancy-index every column per batch.
+
+    Returns the per-epoch mean losses.
+    """
+    state = AdamState.for_model(model)
+    feats = dataset.features
+    losses = []
+    for epoch in range(cfg.epochs):
+        triplets = sample_triplets(dataset, cfg, group, epoch=epoch, model_key=model_key)
+        order = np.random.default_rng(
+            [cfg.seed, _STREAM_EPOCH, model_key, epoch]).permutation(len(triplets))
+        total, count = 0.0, 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            loss, grads = model.loss_and_gradients(
+                feats[triplets.x[batch]], feats[triplets.y1[batch]],
+                feats[triplets.y2[batch]], triplets.rho_true[batch])
+            adam_step(model, grads, state, lr=cfg.lr)
+            total += loss * len(batch)
+            count += len(batch)
+        losses.append(total / max(1, count))
+    return losses
+
+
+@pytest.mark.parametrize("group", [None, RankGroup(1, 15, 24, 9, 30)])
+def test_train_single_matches_per_batch_gathering(group):
+    ds = rank_dataset(list(range(1, 41)) * 3, feature_dim=4)
+    cfg = config(epochs=2, batch_size=7, lr=1e-3)  # 7 divides neither triplet count
+    enc = EncoderSpec(4, (8,), 4)
+    got, want = RelativeRegressor(enc, seed=2), RelativeRegressor(enc, seed=2)
+    losses = []
+    train_single(ds, cfg, got, group, model_key=3,
+                 on_epoch=lambda key, epoch, loss: losses.append(loss))
+    assert losses == oracle_train_single(ds, cfg, want, group, model_key=3)
+    assert model_digest(got) == model_digest(want)
