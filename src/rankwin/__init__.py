@@ -9,7 +9,8 @@ moving; per-range local regressors then polish the result.
 
 from rankwin.data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from rankwin.engine import (InferenceTrace, OracleRegressor, estimate_rank,
-                            initial_estimate, mwr_step, run_global, run_local)
+                            initial_estimate, model_regress, mwr_step,
+                            oracle_regress, run_global, run_local)
 from rankwin.errors import (ConfigError, DataError, DigestMismatchError,
                             DomainError, NumericalError, RankwinError,
                             SelectionError, ShapeError)
@@ -41,7 +42,7 @@ __all__ = [
     "epsilon_error", "estimate_rank", "generate_synthetic",
     "groups_containing", "initial_estimate", "knn_ranks", "load_checkpoint",
     "load_database", "load_dataset", "mae", "make_window", "model_digest",
-    "mwr_step", "partition_equal", "partition_golden", "reconstruct_rank",
+    "model_regress", "mwr_step", "oracle_regress", "partition_equal", "partition_golden", "reconstruct_rank",
     "relative_rank", "relative_rank_array", "round_half_up", "run_global",
     "run_local", "sample_triplets", "save_checkpoint", "save_database",
     "save_dataset", "select_references", "train", "window_bounds",

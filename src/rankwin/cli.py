@@ -9,16 +9,21 @@ Subcommands cover the full workflow: ``gen`` writes a synthetic dataset,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import logging
 import os
 import sys
 
-from rankwin.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from rankwin.data import (SPLITS, SyntheticSpec, generate_synthetic, load_dataset,
+                          save_dataset)
 from rankwin.errors import RankwinError
-from rankwin.experiments import (ExperimentManifest, file_digest, inspect_run,
-                                 run_build_refdb, run_eval, run_simulate,
-                                 run_sweep, run_train)
+from rankwin.experiments import (PARTITIONS, SCALES, SCHEMES, ExperimentManifest,
+                                 file_digest, inspect_run, run_build_refdb, run_eval,
+                                 run_simulate, run_sweep, run_train)
 from rankwin.windows import RankRange
+
+MANIFEST_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentManifest))
 
 log = logging.getLogger("rankwin")
 
@@ -29,20 +34,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_manifest_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags named after manifest fields; a flag left out keeps the field's default."""
     parser.add_argument("--manifest", help="reuse an existing manifest json verbatim")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scale", choices=("ari", "geo"), default="geo")
-    parser.add_argument("--tau", type=float, default=0.1)
-    parser.add_argument("--partition", choices=("golden5", "equal3", "none"),
-                        default="golden5")
-    parser.add_argument("--scheme", choices=("min", "max", "random"), default="min")
-    parser.add_argument("--scheme-seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--max-iter", type=int, default=10)
-    parser.add_argument("--epochs", type=int, default=30)
-    parser.add_argument("--batch-size", type=int, default=18)
-    parser.add_argument("--lr", type=float, default=1e-4)
-    parser.add_argument("--alpha", type=int, default=6)
+    flag = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    flag("--seed", type=int)
+    flag("--scale", dest="scale_kind", choices=SCALES)
+    flag("--tau", type=float)
+    flag("--partition", choices=PARTITIONS)
+    flag("--scheme", choices=SCHEMES)
+    flag("--scheme-seed", type=int)
+    flag("--k", type=int)
+    flag("--max-iter", type=int)
+    flag("--epochs", type=int)
+    flag("--batch-size", type=int)
+    flag("--lr", type=float)
+    flag("--alpha", type=int)
+    flag("--triplets-per-instance", type=int)
 
 
 def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
@@ -50,14 +57,10 @@ def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
         with open(args.manifest) as fh:
             return ExperimentManifest.from_json(fh.read())
     dataset = load_dataset(args.dataset)
+    settings = {name: value for name, value in vars(args).items() if name in MANIFEST_FIELDS}
     return ExperimentManifest(
         dataset_digest=file_digest(args.dataset),
-        domain_lo=dataset.rank_domain.lo, domain_hi=dataset.rank_domain.hi,
-        scale_kind=args.scale, tau=args.tau, partition=args.partition,
-        alpha=args.alpha, epochs=args.epochs, batch_size=args.batch_size,
-        lr=args.lr, seed=args.seed, scheme=args.scheme,
-        scheme_seed=args.scheme_seed, k=args.k, max_iter=args.max_iter,
-        oracle_noise_std=getattr(args, "noise_std", 0.0))
+        domain_lo=dataset.rank_domain.lo, domain_hi=dataset.rank_domain.hi, **settings)
 
 
 def _rank_bounds(text: str) -> tuple[int, int]:
@@ -164,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a split with a trained run")
     _add_common(p)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--scheme", choices=("min", "max", "random"), default=None,
+    p.add_argument("--split", choices=SPLITS, default="test")
+    p.add_argument("--scheme", choices=SCHEMES, default=None,
                    help="override the manifest's selection scheme")
     p.add_argument("--scheme-seed", type=int, default=None)
     p.set_defaults(func=_cmd_eval)
@@ -173,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="oracle-driven window dynamics")
     _add_common(p)
     _add_manifest_flags(p)
-    p.add_argument("--noise-std", type=float, default=0.0,
-                   help="oracle estimate noise")
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--noise-std", dest="oracle_noise_std", type=float,
+                   default=argparse.SUPPRESS, help="oracle estimate noise")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="train+eval a grid of (scale, tau) cells")
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifest_flags(p)
     p.add_argument("--cells", type=_cells, required=True,
                    help="comma list of scale:tau, e.g. geo:0.1,ari:3")
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("inspect", help="summarize a run directory")

@@ -113,11 +113,19 @@ def _parse_header(header: list[str]) -> tuple[bool, bool, int]:
     return has_sigma, has_split, len(feature_cols)
 
 
+def _decoded_lines(path: str, fh):
+    """The lines of text file ``fh``; bytes that do not decode raise DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc.encoding}: {exc.reason})") from None
+
+
 def load_dataset(path: str, *, split_seed: int = 0,
                  domain: RankRange | None = None) -> Dataset:
     """Parse a dataset file; errors cite the offending 1-based data row."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:

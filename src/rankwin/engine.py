@@ -2,8 +2,10 @@
 
 Each iteration builds a window around the previous estimate, picks two
 references spanning it, regresses the input's relative position between
-them, and reconstructs a new integer estimate.  The loop stops at a fixed
-point, on a detected two-cycle (deterministic estimators only, where a
+them, and reconstructs a new integer estimate.  One ρ source per instance
+picks and regresses: ``oracle_regress`` for the simulation oracle,
+``model_regress`` for trained models.  The loop stops at a fixed
+point, on a detected two-cycle (``stochastic=False`` only, where a
 revisited estimate proves the cycle repeats forever), or after ``max_iter``
 iterations.  The local phase reruns the loop with per-group regressors,
 averaging the two candidates whenever the estimate falls where groups
@@ -32,15 +34,20 @@ __all__ = [
     "IterationRecord",
     "InferenceTrace",
     "initial_estimate",
+    "Regress",
+    "oracle_regress",
+    "model_regress",
     "mwr_step",
     "run_global",
     "run_local",
-    "combine_traces",
     "estimate_rank",
 ]
 
 DEFAULT_MAX_ITER = 10
 DEFAULT_K = 5
+
+# a ρ source: regress(window, tag) -> (reference positions or None, low rank, high rank, ρ)
+Regress = Callable[[SearchWindow, str], tuple[tuple[int, int] | None, int, int, float]]
 
 
 @dataclass(frozen=True)
@@ -154,55 +161,49 @@ def initial_estimate(db: ReferenceDatabase, feature: np.ndarray,
     return db.domain.clip(round_half_up(float(np.mean(ranks))))
 
 
-def _is_oracle(estimator) -> bool:
-    return hasattr(estimator, "rho")
+def oracle_regress(oracle: OracleRegressor, truth: int, scale: RankScale,
+                   instance_key: int = 0) -> Regress:
+    """ρ source that knows ``truth``; the references are the window's nominal ends.
+
+    A noisy oracle draws from one stream per ``(oracle.seed, instance_key)``.
+    """
+    rng = np.random.default_rng([oracle.seed, instance_key]) if oracle.stochastic else None
+
+    def regress(window: SearchWindow, tag: str):
+        low, high = window.low, window.high
+        return None, low, high, oracle.rho(truth, low, high, scale, rng)
+    return regress
 
 
-def mwr_step(estimate: int, estimator, db: ReferenceDatabase | None,
-             scale: RankScale, scheme: SelectionScheme | None, domain: RankRange, *,
+def model_regress(db: ReferenceDatabase, scheme: SelectionScheme,
+                  models: Mapping[str, RelativeRegressor],
+                  queries: Mapping[str, np.ndarray]) -> Regress:
+    """ρ source of trained models: ``models[tag]`` regresses ``queries[tag]``
+    against the pair that ``scheme`` picks from the table for ``tag``."""
+
+    def regress(window: SearchWindow, tag: str):
+        i, j = select_references(db, window, scheme, tag)
+        feats = db.features[tag]
+        rho = float(models[tag].regress(queries[tag], feats[i], feats[j]))
+        return (i, j), int(db.ranks[i]), int(db.ranks[j]), rho
+    return regress
+
+
+def mwr_step(estimate: int, regress: Regress, scale: RankScale, domain: RankRange, *,
              window_domain: RankRange | None = None, tag: str = TAG_GLOBAL,
-             group: int | None = None, query: np.ndarray | None = None,
-             truth: int | None = None,
-             rng: np.random.Generator | None = None) -> tuple[int, StepRecord]:
+             group: int | None = None) -> tuple[int, StepRecord]:
     """One refinement: window around ``estimate`` -> references -> new estimate.
 
-    Oracle estimators use the window's nominal endpoints as references (the
-    oracle knows true ranks, so no instances are needed); model estimators
-    require a database with a pair table for ``tag`` plus the query encoded
-    by that same model.  The reconstruction uses the ranks of the references
-    actually used, then rounds half-up and clips to the rank domain.
+    The reconstruction uses the ranks of the references ``regress`` used,
+    then rounds half-up and clips to the rank domain.
     """
     window = make_window(estimate, scale, window_domain or domain)
-    if _is_oracle(estimator):
-        if truth is None:
-            raise ConfigError("oracle step needs the true rank")
-        positions = None
-        low_rank, high_rank = window.low, window.high
-        rho = estimator.rho(truth, low_rank, high_rank, scale, rng)
-    else:
-        if db is None or scheme is None or query is None:
-            raise ConfigError("model step needs a database, a scheme, and an encoded query")
-        i, j = select_references(db, window, scheme, tag)
-        positions = (i, j)
-        low_rank, high_rank = int(db.ranks[i]), int(db.ranks[j])
-        rho = float(estimator.regress(query, db.features[tag][i], db.features[tag][j]))
+    positions, low_rank, high_rank, rho = regress(window, tag)
     value = reconstruct_rank(rho, low_rank, high_rank, scale)
     new = domain.clip(round_half_up(value))
     record = StepRecord(group=group, window=window, ref_positions=positions,
                         ref_ranks=(low_rank, high_rank), rho=rho, estimate=new)
     return new, record
-
-
-def _finish_cycle(records: list[IterationRecord], estimates: list[int],
-                  new: int) -> int:
-    """Two-cycle halt: keep the estimate whose iteration regressed less.
-
-    ``new`` equals estimates[-2]; records[-1] produced ``new`` and
-    records[-2] produced estimates[-1].  Exact tie keeps the later estimate.
-    """
-    if records[-1].mean_abs_rho <= records[-2].mean_abs_rho:
-        return new
-    return estimates[-1]
 
 
 def _refine(start: int, phase: str,
@@ -233,7 +234,9 @@ def _refine(start: int, phase: str,
             converged, final = True, new
             break
         if deterministic and len(estimates) >= 2 and new == estimates[-2]:
-            final = _finish_cycle(records, estimates, new)
+            # two-cycle: keep the estimate whose iteration regressed less;
+            # records[-1] produced ``new``, an exact tie keeps it
+            final = new if records[-1].mean_abs_rho <= records[-2].mean_abs_rho else current
             break
         estimates.append(new)
         final = new
@@ -242,64 +245,30 @@ def _refine(start: int, phase: str,
                           final_local=final)
 
 
-def run_global(estimator, db: ReferenceDatabase | None, scale: RankScale,
-               scheme: SelectionScheme | None, domain: RankRange, *, init: int,
-               query: np.ndarray | None = None, truth: int | None = None,
+def run_global(regress: Regress, scale: RankScale, domain: RankRange, *, init: int,
                max_iter: int = DEFAULT_MAX_ITER,
-               rng: np.random.Generator | None = None) -> tuple[int, InferenceTrace]:
+               stochastic: bool = False) -> tuple[int, InferenceTrace]:
     """Iterate the global regressor from ``init``."""
-    trace = _refine(init, "global",
-                    lambda estimate: [mwr_step(estimate, estimator, db, scale, scheme, domain,
-                                               query=query, truth=truth, rng=rng)],
-                    domain, max_iter, not getattr(estimator, "stochastic", False))
+    trace = _refine(init, "global", lambda e: [mwr_step(e, regress, scale, domain)],
+                    domain, max_iter, not stochastic)
     return trace.final, trace
 
 
-def run_local(start: int, estimators, groups: Sequence[RankGroup],
-              db: ReferenceDatabase | None, scale: RankScale,
-              scheme: SelectionScheme | None, domain: RankRange, *,
-              queries: Mapping[str, np.ndarray] | None = None,
-              truth: int | None = None, max_iter: int = DEFAULT_MAX_ITER,
-              rng: np.random.Generator | None = None) -> tuple[int, InferenceTrace]:
-    """Refine ``start`` with per-group regressors, averaging in overlaps.
-
-    ``estimators`` is either a sequence aligned with ``groups`` or a single
-    oracle used for every group.  Model estimators read their encoded query
-    from ``queries[local{i}]``.  Windows are clipped to each group's
-    extended range.
-    """
+def run_local(start: int, regress: Regress, groups: Sequence[RankGroup],
+              scale: RankScale, domain: RankRange, *, max_iter: int = DEFAULT_MAX_ITER,
+              stochastic: bool = False) -> tuple[int, InferenceTrace]:
+    """Refine ``start`` with group ``i``'s regressor (tag ``local{i}``) in windows
+    clipped to its extended range, averaging the candidates in overlaps."""
     if not groups:
         raise ConfigError("local phase needs at least one group")
-    deterministic = not getattr(estimators, "stochastic", False)
-    if _is_oracle(estimators):
-        estimators = [estimators] * len(groups)
-    if len(estimators) != len(groups):
-        raise ConfigError(f"{len(groups)} groups but {len(estimators)} local estimators")
-    groups = list(groups)
-    queries = queries or {}
 
     def steps_at(estimate: int) -> list[tuple[int, StepRecord]]:
-        return [mwr_step(estimate, estimators[gi], db, scale, scheme, domain,
-                         window_domain=groups[gi].extended_range, tag=local_tag(gi),
-                         group=gi, query=queries.get(local_tag(gi)), truth=truth, rng=rng)
+        return [mwr_step(estimate, regress, scale, domain, window_domain=groups[gi].extended_range,
+                         tag=local_tag(gi), group=gi)
                 for gi in groups_containing(estimate, groups)]
 
-    trace = _refine(start, "local", steps_at, domain, max_iter, deterministic)
+    trace = _refine(start, "local", steps_at, domain, max_iter, not stochastic)
     return trace.final, trace
-
-
-def combine_traces(global_trace: InferenceTrace,
-                   local_trace: InferenceTrace | None) -> InferenceTrace:
-    """Merge phase traces into one instance-level history."""
-    if local_trace is None:
-        return global_trace
-    return InferenceTrace(
-        initial=global_trace.initial,
-        records=global_trace.records + local_trace.records,
-        converged=local_trace.converged,
-        final_global=global_trace.final_global,
-        final_local=local_trace.final_local,
-    )
 
 
 def estimate_rank(features: np.ndarray, *, db: ReferenceDatabase,
@@ -321,22 +290,23 @@ def estimate_rank(features: np.ndarray, *, db: ReferenceDatabase,
     if oracle is not None:
         if truth is None:
             raise ConfigError("oracle inference needs the true rank")
-        rng = np.random.default_rng([oracle.seed, instance_key]) if oracle.stochastic else None
-        estimator, query, queries = oracle, None, None
-        locals_ = oracle if groups else None
+        regress = oracle_regress(oracle, truth, scale, instance_key)
+        stochastic, local = oracle.stochastic, bool(groups)
         init = initial_estimate(db, features, k=k, tag=TAG_RAW)
     else:
         if local_models and (not groups or len(groups) != len(local_models)):
             raise ConfigError("local models and groups must align")
-        rng = None
-        estimator, locals_ = global_model, local_models or None
-        query = global_model.encode(features)
-        queries = {local_tag(i): m.encode(features) for i, m in enumerate(local_models or ())}
-        init = initial_estimate(db, query, k=k)
-    final, gtrace = run_global(estimator, db, scale, scheme, domain, init=init,
-                               query=query, truth=truth, max_iter=max_iter, rng=rng)
-    ltrace = None
-    if locals_ is not None:
-        final, ltrace = run_local(final, locals_, groups, db, scale, scheme, domain,
-                                  queries=queries, truth=truth, max_iter=max_iter, rng=rng)
-    return combine_traces(gtrace, ltrace)
+        models = {TAG_GLOBAL: global_model}
+        models.update((local_tag(i), m) for i, m in enumerate(local_models or ()))
+        queries = {tag: m.encode(features) for tag, m in models.items()}
+        regress = model_regress(db, scheme, models, queries)
+        stochastic, local = False, bool(local_models)
+        init = initial_estimate(db, queries[TAG_GLOBAL], k=k)
+    final, trace = run_global(regress, scale, domain, init=init, max_iter=max_iter,
+                              stochastic=stochastic)
+    if local:
+        _, ltrace = run_local(final, regress, groups, scale, domain, max_iter=max_iter,
+                              stochastic=stochastic)
+        trace.records += ltrace.records
+        trace.converged, trace.final_local = ltrace.converged, ltrace.final_local
+    return trace

@@ -55,6 +55,8 @@ REFDB_NAME = "refdb.npz"
 METRICS_COLUMNS = ("run_id", "split", "mae", "cs5", "eps_error", "accuracy",
                    "mean_iters", "converged_pct")
 PARTITIONS = ("golden5", "equal3", "none")
+SCALES = tuple(k.value for k in ScaleKind)
+SCHEMES = tuple(k.value for k in SelectionKind)
 
 log = logging.getLogger(__name__)
 
@@ -103,10 +105,10 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         if self.partition not in PARTITIONS:
             raise ConfigError(f"partition must be one of {PARTITIONS}, got {self.partition!r}")
-        if self.scheme not in tuple(k.value for k in SelectionKind):
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown selection scheme {self.scheme!r}")
-        if self.scale_kind not in ("ari", "geo"):
-            raise ConfigError(f"scale must be 'ari' or 'geo', got {self.scale_kind!r}")
+        if self.scale_kind not in SCALES:
+            raise ConfigError(f"scale must be one of {SCALES}, got {self.scale_kind!r}")
         # the rest is validated by the objects built from these fields
 
     @property
@@ -142,15 +144,22 @@ class ExperimentManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentManifest":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"manifest is not valid JSON: {exc}") from None
+        if not isinstance(d, dict):
+            raise ConfigError("manifest must be a JSON object")
         if d.get("format_version") != MANIFEST_VERSION:
             raise ConfigError(f"unsupported manifest version {d.get('format_version')}")
-        d["encoder_hidden"] = tuple(d["encoder_hidden"])
-        d["head_dims"] = tuple(d["head_dims"])
         known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
+        extra, missing = set(d) - known, known - set(d)
         if extra:
             raise ConfigError(f"unknown manifest fields: {sorted(extra)}")
+        if missing:
+            raise ConfigError(f"missing manifest fields: {sorted(missing)}")
+        d["encoder_hidden"] = tuple(d["encoder_hidden"])
+        d["head_dims"] = tuple(d["head_dims"])
         return cls(**d)
 
     def digest(self) -> str:

@@ -1,4 +1,4 @@
-"""Run-directory file plumbing: atomic replacement and the npz run stamp."""
+"""Run-directory file plumbing: atomic replacement, npz reading and the npz run stamp."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import contextlib
 import json
 import os
 import tempfile
+import zipfile
+import zlib
 from typing import IO, Iterator, Mapping
 
 import numpy as np
@@ -29,6 +31,15 @@ def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def read_npz(path: str) -> dict[str, np.ndarray]:
+    """Every array of an npz artifact; a file numpy cannot read as one raises DataError."""
+    try:
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise DataError(f"{path} is not a readable npz file: {exc}") from None
 
 
 def pack_meta(meta: dict, run_id: str | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rankwin.errors import ConfigError, DataError, NumericalError, ShapeError
-from rankwin.fileio import atomic_open, pack_meta, unpack_meta
+from rankwin.fileio import atomic_open, pack_meta, read_npz, unpack_meta
 
 __all__ = [
     "EncoderSpec",
@@ -402,19 +402,19 @@ def load_checkpoint(path: str, run_id: str | None = None,
 
     With ``run_id`` the checkpoint must carry that run stamp.
     """
-    with np.load(path) as data:
-        meta = unpack_meta(data, path, CHECKPOINT_VERSION, run_id)
-        enc = meta["encoder"]
-        model = RelativeRegressor(
-            EncoderSpec(enc["input_dim"], tuple(enc["hidden_dims"]), enc["output_dim"]),
-            HeadSpec(tuple(meta["head"]["layer_dims"])),
-            seed=meta["seed"],
-        )
-        _fill_from(data, "param", model.parameters())
-        optimizer = None
-        if meta.get("has_optimizer"):
-            optimizer = AdamState.for_model(model)
-            optimizer.step = int(meta["adam_step"])
-            _fill_from(data, "adam_m", optimizer.m)
-            _fill_from(data, "adam_v", optimizer.v)
+    data = read_npz(path)
+    meta = unpack_meta(data, path, CHECKPOINT_VERSION, run_id)
+    enc = meta["encoder"]
+    model = RelativeRegressor(
+        EncoderSpec(enc["input_dim"], tuple(enc["hidden_dims"]), enc["output_dim"]),
+        HeadSpec(tuple(meta["head"]["layer_dims"])),
+        seed=meta["seed"],
+    )
+    _fill_from(data, "param", model.parameters())
+    optimizer = None
+    if meta.get("has_optimizer"):
+        optimizer = AdamState.for_model(model)
+        optimizer.step = int(meta["adam_step"])
+        _fill_from(data, "adam_m", optimizer.m)
+        _fill_from(data, "adam_v", optimizer.v)
     return model, optimizer

@@ -21,7 +21,7 @@ import numpy as np
 from rankwin.data import Dataset, group_by_rank
 from rankwin.errors import (ConfigError, DigestMismatchError, SelectionError,
                             ShapeError)
-from rankwin.fileio import atomic_open, pack_meta, unpack_meta
+from rankwin.fileio import atomic_open, pack_meta, read_npz, unpack_meta
 from rankwin.nets import RelativeRegressor, model_digest
 from rankwin.partition import RankGroup
 from rankwin.windows import (RankRange, RankScale, ScaleKind, SearchWindow,
@@ -156,19 +156,10 @@ class ReferenceDatabase:
 
 
 def _nearest_populated(populated: np.ndarray, value: int, prefer_lower: bool) -> int:
+    """The populated rank nearest ``value``; a tie goes to the lower one if ``prefer_lower``."""
     i = int(np.searchsorted(populated, value))
-    candidates = []
-    if i < len(populated):
-        candidates.append(int(populated[i]))
-    if i > 0:
-        candidates.append(int(populated[i - 1]))
-    best = None
-    for c in candidates:
-        if best is None or abs(c - value) < abs(best - value):
-            best = c
-        elif abs(c - value) == abs(best - value):
-            best = min(best, c) if prefer_lower else max(best, c)
-    return best
+    neighbours = populated[max(i - 1, 0):i + 1].tolist()
+    return min(neighbours, key=lambda c: (abs(c - value), c if prefer_lower else -c))
 
 
 def _resolve_endpoints(window: SearchWindow, populated: np.ndarray) -> tuple[int, int] | None:
@@ -370,30 +361,29 @@ def load_database(path: str, expected_digests: dict[str, str] | None = None,
 
     With ``run_id`` the file must carry that run stamp too.
     """
-    with np.load(path) as data:
-        meta = unpack_meta(data, path, DB_VERSION, run_id)
-        digests = dict(meta["digests"])
-        if expected_digests:
-            for tag, expected in expected_digests.items():
-                stored = digests.get(tag)
-                if stored != expected:
-                    raise DigestMismatchError(
-                        f"database entry {tag!r} was built for digest {stored}, expected {expected}")
-        kind = ScaleKind(meta["scale_kind"])
-        features = {tag: np.array(data[f"feat__{tag}"]) for tag in meta["tags"]}
-        tables = {tag: PairTable(np.array(data[f"tab__{tag}__ints"]),
-                                 np.array(data[f"tab__{tag}__gammas"]))
-                  for tag in meta["tabled_tags"]}
-        return ReferenceDatabase(
-            ids=tuple(str(s) for s in data["ids"]),
-            ranks=np.array(data["ranks"], dtype=np.int64),
-            scale=RankScale(kind, float(meta["tau"])),
-            domain=RankRange(int(meta["domain"][0]), int(meta["domain"][1])),
-            alpha=int(meta["alpha"]),
-            features=features,
-            digests=digests,
-            tables=tables,
-            pool_cap=meta["pool_cap"],
-            pair_cap=meta["pair_cap"],
-            seed=int(meta["seed"]),
-        )
+    data = read_npz(path)
+    meta = unpack_meta(data, path, DB_VERSION, run_id)
+    digests = dict(meta["digests"])
+    if expected_digests:
+        for tag, expected in expected_digests.items():
+            stored = digests.get(tag)
+            if stored != expected:
+                raise DigestMismatchError(
+                    f"database entry {tag!r} was built for digest {stored}, expected {expected}")
+    kind = ScaleKind(meta["scale_kind"])
+    features = {tag: data[f"feat__{tag}"] for tag in meta["tags"]}
+    tables = {tag: PairTable(data[f"tab__{tag}__ints"], data[f"tab__{tag}__gammas"])
+              for tag in meta["tabled_tags"]}
+    return ReferenceDatabase(
+        ids=tuple(str(s) for s in data["ids"]),
+        ranks=np.asarray(data["ranks"], dtype=np.int64),
+        scale=RankScale(kind, float(meta["tau"])),
+        domain=RankRange(int(meta["domain"][0]), int(meta["domain"][1])),
+        alpha=int(meta["alpha"]),
+        features=features,
+        digests=digests,
+        tables=tables,
+        pool_cap=meta["pool_cap"],
+        pair_cap=meta["pair_cap"],
+        seed=int(meta["seed"]),
+    )

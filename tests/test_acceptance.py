@@ -19,7 +19,7 @@ import pytest
 
 from gradcheck_utils import run_gradient_checks
 from rankwin.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
-from rankwin.engine import OracleRegressor, estimate_rank, run_global
+from rankwin.engine import OracleRegressor, estimate_rank, oracle_regress, run_global
 from rankwin.experiments import (ExperimentManifest, file_digest,
                                  run_build_refdb, run_eval, run_simulate,
                                  run_train)
@@ -181,9 +181,8 @@ def test_noiseless_oracle_always_converges_within_bound():
         scale = RankScale.arithmetic(tau)
         cap = int(np.ceil(79 / tau)) + 1
         for truth, init in pairs:
-            final, trace = run_global(oracle, None, scale, None, DOMAIN,
-                                      truth=int(truth), init=int(init),
-                                      max_iter=cap)
+            final, trace = run_global(oracle_regress(oracle, int(truth), scale), scale,
+                                      DOMAIN, init=int(init), max_iter=cap)
             bound = int(np.ceil(abs(int(init) - int(truth)) / tau)) + 1
             if final != truth or not trace.converged or trace.iterations > bound:
                 failures += 1

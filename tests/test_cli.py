@@ -5,7 +5,9 @@ can fix (bad flags, missing files, stale digests).  One subprocess smoke
 test proves the module entry point wires up outside pytest too.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ import pytest
 
 from rankwin.cli import main
 from rankwin.data import load_dataset
-from rankwin.experiments import read_manifest
+from rankwin.experiments import ExperimentManifest, file_digest, read_manifest
 
 FAST = ["--scale", "ari", "--tau", "2", "--alpha", "3",
         "--epochs", "1", "--lr", "1e-3"]
@@ -80,6 +82,12 @@ def test_manifest_reuse_reproduces_the_run_id(run_dir, dataset_path, tmp_path):
     assert read_manifest(out).run_id == read_manifest(run_dir).run_id
 
 
+def test_train_without_manifest_flags_takes_the_manifest_defaults(dataset_path, tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["train", "--dataset", dataset_path, "--out-dir", out, "--epochs", "1"]) == 0
+    assert read_manifest(out) == ExperimentManifest(file_digest(dataset_path), 1, 15, epochs=1)
+
+
 def test_simulate_noiseless_reports_zero_error(dataset_path, tmp_path, capsys):
     assert main(["simulate", "--dataset", dataset_path, "--out-dir", str(tmp_path),
                  "--scale", "ari", "--tau", "3", "--alpha", "3",
@@ -127,15 +135,38 @@ def test_unknown_flag_is_an_argparse_error(dataset_path, tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--dataset", "{data}", "--out-dir", "{tmp}/run", *FAST, "--lr", "nan"],
-    ["gen", "--out", "{tmp}/d.csv", "--n", "10", "--noise-std", "nan"],
-    ["gen", "--out", "{tmp}/d.csv", "--n", "10", "--domain", "5"],
-    ["sweep", "--dataset", "{data}", "--out-dir", "{tmp}/sweep", *FAST, "--cells", "geo"],
-    ["train", "--dataset", "{data}", "--out-dir", "{data}", *FAST],
-], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau", "out-dir-is-a-file"])
-def test_user_errors_exit_2_without_traceback(argv, dataset_path, tmp_path):
-    argv = [a.format(data=dataset_path, tmp=tmp_path) for a in argv]
+def without_field(name):
+    """An edit that drops manifest field ``name``."""
+    return lambda old: json.dumps({k: v for k, v in json.loads(old).items() if k != name}).encode()
+
+
+# "{run}" is a copy of the trained run directory; each edit rewrites one file
+# of the copy (or writes a new file) from its old bytes
+@pytest.mark.parametrize("argv, edits", [
+    (["train", "--dataset", "{data}", "--out-dir", "{tmp}/new", *FAST, "--lr", "nan"], {}),
+    (["gen", "--out", "{tmp}/d.csv", "--n", "10", "--noise-std", "nan"], {}),
+    (["gen", "--out", "{tmp}/d.csv", "--n", "10", "--domain", "5"], {}),
+    (["sweep", "--dataset", "{data}", "--out-dir", "{tmp}/sweep", *FAST, "--cells", "geo"], {}),
+    (["train", "--dataset", "{data}", "--out-dir", "{data}", *FAST], {}),
+    (["train", "--dataset", "{data}", "--out-dir", "{tmp}/new", "--manifest", "{run}/manifest.json"],
+     {"manifest.json": without_field("encoder_hidden")}),
+    (["train", "--dataset", "{data}", "--out-dir", "{tmp}/new", "--manifest", "{run}/manifest.json"],
+     {"manifest.json": lambda b: b"not json"}),
+    (["inspect", "--out-dir", "{run}"], {"manifest.json": lambda b: b[:-10]}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"], {"refdb.npz": lambda b: b"not an npz"}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"], {"global.npz": lambda b: b[:len(b) // 2]}),
+    (["train", "--dataset", "{run}/latin1.csv", "--out-dir", "{tmp}/new", *FAST],
+     {"latin1.csv": lambda b: "id,rank,f0\nb\u00e9,1,0.5\n".encode("latin-1")}),
+], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau", "out-dir-is-a-file",
+        "manifest-missing-field", "manifest-not-json", "inspect-corrupt-manifest",
+        "refdb-not-npz", "checkpoint-truncated", "dataset-not-utf8"])
+def test_user_errors_exit_2_without_traceback(argv, edits, run_dir, dataset_path, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    for name, edit in edits.items():
+        old = (run / name).read_bytes() if (run / name).exists() else b""
+        (run / name).write_bytes(edit(old))
+    argv = [a.format(data=dataset_path, tmp=tmp_path, run=run) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "rankwin.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr

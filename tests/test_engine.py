@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from rankwin.data import Dataset
-from rankwin.engine import (InferenceTrace, OracleRegressor, combine_traces,
-                            estimate_rank, initial_estimate, mwr_step,
-                            run_global, run_local)
+from rankwin.engine import (OracleRegressor, estimate_rank, initial_estimate,
+                            model_regress, mwr_step, oracle_regress, run_global,
+                            run_local)
 from rankwin.errors import ConfigError, DomainError
 from rankwin.nets import EncoderSpec, HeadSpec, RelativeRegressor
 from rankwin.partition import RankGroup
-from rankwin.refdb import (TAG_GLOBAL, TAG_RAW, SelectionKind, SelectionScheme,
-                           build_database, local_tag)
-from rankwin.windows import RankRange, RankScale
+from rankwin.refdb import (TABLE_COLUMNS, TAG_GLOBAL, TAG_RAW, SelectionKind,
+                           SelectionScheme, build_database, local_tag)
+from rankwin.windows import RankRange, RankScale, make_window
 
 ARI3 = RankScale.arithmetic(3)
 GEO = RankScale.geometric(0.1)
@@ -28,15 +28,13 @@ DOMAIN = RankRange(1, 80)
 MIN_SCHEME = SelectionScheme(SelectionKind.MIN_ERROR)
 
 
-class ScriptedRho:
-    """Plays back a fixed rho sequence; duck-types as a deterministic oracle."""
+def scripted(values):
+    """A ρ source that plays back ``values`` between the window's nominal ends."""
+    values = list(values)
 
-    def __init__(self, values, stochastic=False):
-        self.values = list(values)
-        self.stochastic = stochastic
-
-    def rho(self, truth, low_rank, high_rank, scale, rng=None):
-        return self.values.pop(0)
+    def regress(window, tag):
+        return None, window.low, window.high, values.pop(0)
+    return regress
 
 
 def rank_dataset(ranks, feature_dim=4, seed=0):
@@ -84,35 +82,27 @@ def test_initial_estimate_averages_neighbor_ranks():
 
 
 def test_mwr_step_oracle_clamps_and_moves_one_width():
-    new, record = mwr_step(30, OracleRegressor(), None, ARI3, None, DOMAIN, truth=22)
+    new, record = mwr_step(30, oracle_regress(OracleRegressor(), 22, ARI3), ARI3, DOMAIN)
     assert new == 27
     assert record.window.low == 27 and record.window.high == 33
     assert record.ref_ranks == (27, 33)
     assert record.ref_positions is None
     assert record.rho == -1.0
-    near, rec = mwr_step(24, OracleRegressor(), None, ARI3, None, DOMAIN, truth=22)
+    near, rec = mwr_step(24, oracle_regress(OracleRegressor(), 22, ARI3), ARI3, DOMAIN)
     assert near == 22  # window (21, 27) covers the truth, lands exactly
     assert rec.rho == pytest.approx(-2 / 3, abs=1e-15)
 
 
-def test_mwr_step_validates_inputs():
-    with pytest.raises(ConfigError, match="true rank"):
-        mwr_step(30, OracleRegressor(), None, ARI3, None, DOMAIN)
-    model = RelativeRegressor(EncoderSpec(4, (8,), 4), HeadSpec((8, 4, 1)))
-    with pytest.raises(ConfigError, match="database"):
-        mwr_step(30, model, None, ARI3, MIN_SCHEME, DOMAIN)
-
-
 def test_noiseless_oracle_converges_to_truth_in_bound():
     oracle = OracleRegressor()
-    final, trace = run_global(oracle, None, ARI3, None, DOMAIN, truth=22, init=40)
+    final, trace = run_global(oracle_regress(oracle, 22, ARI3), ARI3, DOMAIN, init=40)
     assert final == 22
     assert trace.converged
     assert trace.iterations == 7  # six full-width moves plus the confirm step
     assert [r.estimate for r in trace.records] == [37, 34, 31, 28, 25, 22, 22]
     for truth, init in [(5, 70), (80, 1), (33, 33), (60, 59)]:
-        final, trace = run_global(oracle, None, ARI3, None, DOMAIN,
-                                  truth=truth, init=init, max_iter=40)
+        final, trace = run_global(oracle_regress(oracle, truth, ARI3), ARI3, DOMAIN,
+                                  init=init, max_iter=40)
         assert final == truth
         bound = int(np.ceil(abs(init - truth) / 3)) + 1
         assert trace.converged and trace.iterations <= bound
@@ -124,27 +114,27 @@ def test_noiseless_oracle_converges_geometrically_too():
     for _ in range(25):
         truth = int(rng.integers(1, 81))
         init = int(rng.integers(1, 81))
-        final, trace = run_global(oracle, None, GEO, None, DOMAIN,
-                                  truth=truth, init=init, max_iter=60)
+        final, trace = run_global(oracle_regress(oracle, truth, GEO), GEO, DOMAIN,
+                                  init=init, max_iter=60)
         assert final == truth
         assert trace.converged
 
 
-def run_phase(phase, estimator, max_iter=10):
-    """Run one phase from 30 with truth 30; the local phase uses a single
-    group spanning the domain, so both phases evaluate the same windows."""
+def run_phase(phase, regress, max_iter=10, stochastic=False):
+    """Run one phase from 30; the local phase uses a single group spanning
+    the domain, so both phases evaluate the same windows."""
     if phase == "global":
-        return run_global(estimator, None, ARI3, None, DOMAIN, truth=30, init=30,
-                          max_iter=max_iter)
-    return run_local(30, estimator, [RankGroup(0, 1, 80, 1, 80)], None, ARI3, None,
-                     DOMAIN, truth=30, max_iter=max_iter)
+        return run_global(regress, ARI3, DOMAIN, init=30, max_iter=max_iter,
+                          stochastic=stochastic)
+    return run_local(30, regress, [RankGroup(0, 1, 80, 1, 80)], ARI3, DOMAIN,
+                     max_iter=max_iter, stochastic=stochastic)
 
 
 @pytest.mark.parametrize("phase", ["global", "local"])
 def test_two_cycle_keeps_smaller_rho_estimate(phase):
     # 30 -> 31 on rho 0.2, then 31 -> 30 on rho -0.34: the second iteration
     # regressed harder, so the halt keeps 31
-    final, trace = run_phase(phase, ScriptedRho([0.2, -0.34]))
+    final, trace = run_phase(phase, scripted([0.2, -0.34]))
     assert [r.estimate for r in trace.records] == [31, 30]
     assert final == 31
     assert not trace.converged
@@ -152,7 +142,7 @@ def test_two_cycle_keeps_smaller_rho_estimate(phase):
 
 @pytest.mark.parametrize("phase", ["global", "local"])
 def test_two_cycle_tie_keeps_later_estimate(phase):
-    final, trace = run_phase(phase, ScriptedRho([1 / 3, -1 / 3]))
+    final, trace = run_phase(phase, scripted([1 / 3, -1 / 3]))
     assert final == 30
     assert not trace.converged
 
@@ -160,27 +150,26 @@ def test_two_cycle_tie_keeps_later_estimate(phase):
 @pytest.mark.parametrize("phase", ["global", "local"])
 def test_stochastic_estimator_disables_cycle_guard(phase):
     values = [0.2, -0.34] * 5  # would two-cycle forever
-    final, trace = run_phase(phase, ScriptedRho(values, stochastic=True), max_iter=6)
+    final, trace = run_phase(phase, scripted(values), max_iter=6, stochastic=True)
     assert trace.iterations == 6
     assert not trace.converged
     assert final == trace.records[-1].estimate
 
 
 def test_run_global_validation():
+    regress = oracle_regress(OracleRegressor(), 5, ARI3)
     with pytest.raises(DomainError):
-        run_global(OracleRegressor(), None, ARI3, None, DOMAIN, truth=5, init=99)
+        run_global(regress, ARI3, DOMAIN, init=99)
     with pytest.raises(ConfigError):
-        run_global(OracleRegressor(), None, ARI3, None, DOMAIN, truth=5,
-                   init=5, max_iter=0)
+        run_global(regress, ARI3, DOMAIN, init=5, max_iter=0)
 
 
 def test_noisy_oracle_is_reproducible_per_seed():
     oracle = OracleRegressor(noise_std=0.2, seed=4)
     runs = []
     for _ in range(2):
-        rng = np.random.default_rng([oracle.seed, 123])
-        final, trace = run_global(oracle, None, ARI3, None, DOMAIN,
-                                  truth=30, init=50, rng=rng)
+        final, trace = run_global(oracle_regress(oracle, 30, ARI3, instance_key=123),
+                                  ARI3, DOMAIN, init=50, stochastic=True)
         runs.append((final, [r.estimate for r in trace.records]))
     assert runs[0] == runs[1]
 
@@ -192,8 +181,8 @@ def test_local_overlap_averages_the_group_candidates():
     # truth 15 from start 13: group 0's window clips to its extension
     # (10, 14) and saturates to 14; group 1 regresses 2/3 into (10, 16)
     # giving 15; the rounded mean of (14, 15) is 15
-    final, trace = run_local(13, OracleRegressor(), GROUPS, None, ARI3, None,
-                             DOMAIN, truth=15)
+    final, trace = run_local(13, oracle_regress(OracleRegressor(), 15, ARI3), GROUPS,
+                             ARI3, DOMAIN)
     first = trace.records[0]
     assert [s.group for s in first.steps] == [0, 1]
     assert [s.window.low for s in first.steps] == [10, 10]
@@ -207,32 +196,87 @@ def test_local_overlap_averages_the_group_candidates():
 
 
 def test_local_single_group_runs_alone():
-    final, trace = run_local(25, OracleRegressor(), GROUPS, None, ARI3, None,
-                             DOMAIN, truth=28)
+    final, trace = run_local(25, oracle_regress(OracleRegressor(), 28, ARI3), GROUPS,
+                             ARI3, DOMAIN)
     assert final == 28
     assert all(s.group == 1 for r in trace.records for s in r.steps)
     assert trace.final_global == 25  # local trace keeps its entry estimate
 
 
 def test_local_validation():
-    oracle = OracleRegressor()
+    regress = oracle_regress(OracleRegressor(), 10, ARI3)
     with pytest.raises(ConfigError, match="at least one group"):
-        run_local(10, oracle, [], None, ARI3, None, DOMAIN, truth=10)
+        run_local(10, regress, [], ARI3, DOMAIN)
     with pytest.raises(DomainError):
-        run_local(99, oracle, GROUPS, None, ARI3, None, DOMAIN, truth=10)
-    with pytest.raises(ConfigError, match="local estimators"):
-        run_local(10, [oracle], GROUPS, None, ARI3, None, DOMAIN, truth=10)
+        run_local(99, regress, GROUPS, ARI3, DOMAIN)
 
 
-def test_combine_traces_merges_phases():
-    g = InferenceTrace(initial=40, converged=True, final_global=30, final_local=30)
-    l = InferenceTrace(initial=30, converged=False, final_global=30, final_local=28)
-    merged = combine_traces(g, l)
-    assert merged.initial == 40
-    assert merged.final == 28
-    assert merged.final_global == 30
-    assert not merged.converged
-    assert combine_traces(g, None) is g
+# an oracle run on ranks 1..40 whose two groups overlap on 18..22; the query
+# sits at rank 27 on the raw axis, so the kNN start is 27 and the truth is 20
+PIN_GROUPS = [RankGroup(0, 1, 22, 1, 26), RankGroup(1, 18, 40, 14, 40)]
+PIN_QUERY = np.array([27.0, 0.0, 0.0, 0.0])
+
+
+def pinned_oracle_trace(noise_std, instance_key=2):
+    ds = rank_dataset(list(range(1, 41)) * 2, seed=3)
+    db = build_database(ds, {TAG_RAW: None}, ARI3, ds.rank_domain)
+    return estimate_rank(PIN_QUERY, db=db, scale=ARI3, scheme=MIN_SCHEME,
+                         domain=ds.rank_domain, groups=PIN_GROUPS, k=3, max_iter=4,
+                         oracle=OracleRegressor(noise_std=noise_std, seed=2), truth=20,
+                         instance_key=instance_key), db
+
+
+def oracle_step(group, window, rho, estimate):
+    """One step's trace JSON for an oracle: the references are the window's ends."""
+    return {"group": group, "window": window, "center": (window[0] + window[1]) // 2,
+            "ref_positions": None, "ref_ranks": window, "rho": rho, "estimate": estimate}
+
+
+def iteration(index, phase, steps, estimate):
+    return {"index": index, "phase": phase, "steps": steps, "estimate": estimate}
+
+
+@pytest.mark.parametrize("noise_std, expected", [
+    (0.0, {"initial": 27, "converged": True, "final_global": 20, "final_local": 20,
+           "iterations": [
+               iteration(1, "global", [oracle_step(None, [24, 30], -1.0, 24)], 24),
+               iteration(2, "global", [oracle_step(None, [21, 27], -1.0, 21)], 21),
+               iteration(3, "global", [oracle_step(None, [18, 24], -1 / 3, 20)], 20),
+               iteration(4, "global", [oracle_step(None, [17, 23], 0.0, 20)], 20),
+               iteration(1, "local", [oracle_step(0, [17, 23], 0.0, 20),
+                                      oracle_step(1, [17, 23], 0.0, 20)], 20)]}),
+    # the global phase runs out of iterations at 21; the local phase settles on 20
+    (0.2, {"initial": 27, "converged": True, "final_global": 21, "final_local": 20,
+           "iterations": [
+               iteration(1, "global", [oracle_step(None, [24, 30], -0.9086497471138247, 24)], 24),
+               iteration(2, "global", [oracle_step(None, [21, 27], -0.8307924088040706, 22)], 22),
+               iteration(3, "global", [oracle_step(None, [19, 25], -0.6613884988475673, 20)], 20),
+               iteration(4, "global", [oracle_step(None, [17, 23], 0.3071495580400818, 21)], 21),
+               iteration(1, "local", [oracle_step(0, [18, 24], -0.5230017696392093, 19),
+                                      oracle_step(1, [18, 24], -0.02263115040330571, 21)], 20),
+               iteration(2, "local", [oracle_step(0, [17, 23], 0.04529458830519124, 20),
+                                      oracle_step(1, [17, 23], 0.07054329848411815, 20)], 20)]}),
+], ids=["noiseless", "noisy"])
+def test_estimate_rank_oracle_trace_is_pinned(noise_std, expected):
+    trace, _ = pinned_oracle_trace(noise_std)
+    assert trace.to_dict() == expected
+
+
+def test_estimate_rank_chains_the_phases():
+    oracle = OracleRegressor(noise_std=0.2, seed=2)
+    trace, db = pinned_oracle_trace(oracle.noise_std)
+    # the same phases by hand, on one ρ source so the noise stream carries over
+    regress = oracle_regress(oracle, 20, ARI3, instance_key=2)
+    init = initial_estimate(db, PIN_QUERY, k=3, tag=TAG_RAW)
+    mid, gtrace = run_global(regress, ARI3, db.domain, init=init, max_iter=4,
+                             stochastic=True)
+    final, ltrace = run_local(mid, regress, PIN_GROUPS, ARI3, db.domain, max_iter=4,
+                              stochastic=True)
+    assert (mid, final, gtrace.converged, ltrace.converged) == (21, 20, False, True)
+    assert trace.initial == init
+    assert trace.final_global == mid
+    assert (trace.final, trace.converged) == (final, ltrace.converged)
+    assert trace.records == gtrace.records + ltrace.records
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +313,24 @@ def test_estimate_rank_model_trace_invariants(trained_setup):
                 assert -1.0 <= step.rho <= 1.0
         blob = json.dumps(trace.to_dict(), sort_keys=True)
         assert json.loads(blob)["initial"] == trace.initial
+
+
+@pytest.mark.parametrize("kind", [SelectionKind.MIN_ERROR, SelectionKind.MAX_ERROR])
+def test_model_regress_uses_the_table_pair(trained_setup, kind):
+    ds, db, scale, domain, groups, gm, locals_ = trained_setup
+    models = {TAG_GLOBAL: gm, local_tag(1): locals_[1]}
+    queries = {tag: m.encode(ds.features[3]) for tag, m in models.items()}
+    regress = model_regress(db, SelectionScheme(kind), models, queries)
+    prefix = "min" if kind is SelectionKind.MIN_ERROR else "max"
+    for tag, center, window_domain in [(TAG_GLOBAL, 6, domain),
+                                       (local_tag(1), 8, groups[1].extended_range)]:
+        window = make_window(center, scale, window_domain)
+        row = dict(zip(TABLE_COLUMNS, db.tables[tag].rows[window.center]))
+        i, j = row[f"{prefix}_i"], row[f"{prefix}_j"]
+        feats = db.features[tag]
+        assert regress(window, tag) == (
+            (i, j), int(db.ranks[i]), int(db.ranks[j]),
+            float(models[tag].regress(queries[tag], feats[i], feats[j])))
 
 
 def test_estimate_rank_is_deterministic(trained_setup):

@@ -85,6 +85,17 @@ def test_manifest_rejects_unknown_fields():
         ExperimentManifest.from_json(json.dumps(d))
 
 
+@pytest.mark.parametrize("text, match", [
+    ("{", "not valid JSON"),
+    ("[1, 2]", "JSON object"),
+    (json.dumps({k: v for k, v in json.loads(small_manifest("0" * 64).to_json()).items()
+                 if k != "encoder_hidden"}), r"missing manifest fields: \['encoder_hidden'\]"),
+], ids=["not-json", "not-an-object", "missing-field"])
+def test_manifest_rejects_unreadable_json(text, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentManifest.from_json(text)
+
+
 def test_manifest_rejects_other_versions():
     d = json.loads(small_manifest("0" * 64).to_json())
     d["format_version"] = 99
