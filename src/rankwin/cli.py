@@ -15,8 +15,8 @@ import logging
 import os
 import sys
 
-from rankwin.data import (SPLITS, SyntheticSpec, generate_synthetic, load_dataset,
-                          save_dataset)
+from rankwin.data import (NONLINEARITIES, SPLITS, SyntheticSpec, generate_synthetic,
+                          load_dataset, save_dataset)
 from rankwin.errors import RankwinError
 from rankwin.experiments import (PARTITIONS, SCALES, SCHEMES, ExperimentManifest,
                                  file_digest, inspect_run, run_build_refdb, run_eval,
@@ -24,6 +24,7 @@ from rankwin.experiments import (PARTITIONS, SCALES, SCHEMES, ExperimentManifest
 from rankwin.windows import RankRange
 
 MANIFEST_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentManifest))
+SPEC_FIELDS = frozenset(f.name for f in dataclasses.fields(SyntheticSpec))
 
 log = logging.getLogger("rankwin")
 
@@ -85,11 +86,10 @@ def _cells(text: str) -> list[tuple[str, float]]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(n=args.n, rank_domain=RankRange(*args.domain),
-                         feature_dim=args.feature_dim,
-                         nonlinearity=args.nonlinearity,
-                         noise_std=args.noise_std, hetero=args.hetero,
-                         seed=args.seed)
+    settings = {name: value for name, value in vars(args).items() if name in SPEC_FIELDS}
+    if "rank_domain" in settings:
+        settings["rank_domain"] = RankRange(*settings["rank_domain"])
+    spec = SyntheticSpec(**settings)
     save_dataset(generate_synthetic(spec), args.out)
     log.info("wrote %s", args.out)
     return 0
@@ -146,14 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=4000)
-    p.add_argument("--domain", type=_rank_bounds, default="1:80", help="lo:hi rank range")
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--nonlinearity", choices=("linear", "log", "smoothstep"),
-                   default="log")
-    p.add_argument("--noise-std", type=float, default=0.05)
-    p.add_argument("--hetero", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    # flags named after SyntheticSpec fields; a flag left out keeps the field's default
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--n", type=int)
+    flag("--domain", dest="rank_domain", type=_rank_bounds, help="lo:hi rank range")
+    flag("--feature-dim", type=int)
+    flag("--nonlinearity", choices=NONLINEARITIES)
+    flag("--noise-std", type=float)
+    flag("--hetero", action="store_true")
+    flag("--seed", type=int)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train", help="train global (and local) regressors")

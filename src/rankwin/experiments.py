@@ -61,6 +61,15 @@ SCHEMES = tuple(k.value for k in SelectionKind)
 log = logging.getLogger(__name__)
 
 
+def _fits(annotation: str, value) -> bool:
+    """Whether ``value`` fits a manifest field's annotation: a bool is no int, an
+    int is a float, and a tuple holds ints (``from_json`` turns lists into tuples)."""
+    if annotation.startswith("tuple"):
+        return isinstance(value, tuple) and all(_fits("int", v) for v in value)
+    kinds = {"str": str, "int": int, "float": (int, float), "int | None": (int, type(None))}
+    return isinstance(value, kinds[annotation]) and not isinstance(value, bool)
+
+
 def file_digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -103,12 +112,21 @@ class ExperimentManifest:
     format_version: int = MANIFEST_VERSION
 
     def __post_init__(self) -> None:
-        if self.partition not in PARTITIONS:
-            raise ConfigError(f"partition must be one of {PARTITIONS}, got {self.partition!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown selection scheme {self.scheme!r}")
-        if self.scale_kind not in SCALES:
-            raise ConfigError(f"scale must be one of {SCALES}, got {self.scale_kind!r}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not _fits(field.type, value):
+                raise ConfigError(f"manifest field {field.name} must be {field.type}, "
+                                  f"got {value!r}")
+        for name, choices in (("partition", PARTITIONS), ("scheme", SCHEMES),
+                              ("scale_kind", SCALES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        if self.k < 1 or self.max_iter < 1:
+            raise ConfigError(f"k and max_iter must be >= 1, got {self.k} and {self.max_iter}")
+        if any(cap is not None and cap < 1 for cap in (self.pool_cap, self.pair_cap)):
+            raise ConfigError(f"pool_cap and pair_cap must be null or >= 1, "
+                              f"got {self.pool_cap} and {self.pair_cap}")
+        self.selection  # SelectionScheme owns the scheme_seed check
         # the rest is validated by the objects built from these fields
 
     @property
@@ -158,8 +176,9 @@ class ExperimentManifest:
             raise ConfigError(f"unknown manifest fields: {sorted(extra)}")
         if missing:
             raise ConfigError(f"missing manifest fields: {sorted(missing)}")
-        d["encoder_hidden"] = tuple(d["encoder_hidden"])
-        d["head_dims"] = tuple(d["head_dims"])
+        for name in ("encoder_hidden", "head_dims"):
+            if isinstance(d[name], list):
+                d[name] = tuple(d[name])
         return cls(**d)
 
     def digest(self) -> str:
@@ -233,11 +252,8 @@ def load_models(out_dir: str, manifest: ExperimentManifest,
     """The run's checkpoints; each must carry ``manifest.run_id``."""
     run_id = manifest.run_id
     global_model, _ = load_checkpoint(os.path.join(out_dir, "global.npz"), run_id)
-    groups = manifest.make_groups()
-    local_models = []
-    for i in range(len(groups) if groups else 0):
-        model, _ = load_checkpoint(os.path.join(out_dir, f"local{i}.npz"), run_id)
-        local_models.append(model)
+    local_models = [load_checkpoint(os.path.join(out_dir, f"local{i}.npz"), run_id)[0]
+                    for i in range(len(manifest.make_groups() or ()))]
     return global_model, local_models
 
 
@@ -247,9 +263,7 @@ def run_build_refdb(dataset_path: str, out_dir: str) -> str:
     dataset = _check_dataset(manifest, dataset_path)
     train_ds = dataset.subset("train")
     global_model, local_models = load_models(out_dir, manifest)
-    models: dict[str, RelativeRegressor | None] = {TAG_GLOBAL: global_model}
-    for i, model in enumerate(local_models):
-        models[local_tag(i)] = model
+    models = {TAG_GLOBAL: global_model, **{local_tag(i): m for i, m in enumerate(local_models)}}
     db = build_database(train_ds, models, manifest.scale, manifest.domain,
                         groups=manifest.make_groups(), alpha=manifest.alpha,
                         pool_cap=manifest.pool_cap, pair_cap=manifest.pair_cap,
@@ -261,13 +275,11 @@ def run_build_refdb(dataset_path: str, out_dir: str) -> str:
 
 def _phase_iteration_table(traces, phase: str, max_iter: int):
     """Per-iteration mean |error| and cumulative converged %, one phase."""
-    rows = []
     series = []
     for truth, trace in traces:
         records = [r for r in trace.records if r.phase == phase]
         if not records:
             continue
-        estimates = [r.estimate for r in records]
         # the first window is built around the estimate entering the phase
         prev = records[0].steps[0].window.center
         converged_at = None
@@ -275,23 +287,17 @@ def _phase_iteration_table(traces, phase: str, max_iter: int):
             if rec.estimate == prev:
                 converged_at = i + 1
             prev = rec.estimate
-        series.append((truth, estimates, converged_at))
-    if not series:
-        return rows
-    n = len(series)
-    for t in range(1, max_iter + 1):
+        series.append((truth, [r.estimate for r in records], converged_at))
+    rows = []
+    for t in range(1, max_iter + 1) if series else ():
         errs = [abs(est[min(t, len(est)) - 1] - truth) for truth, est, _ in series]
         conv = sum(1 for _, _, c in series if c is not None and c <= t)
-        rows.append((phase, t, float(np.mean(errs)), 100.0 * conv / n))
+        rows.append((phase, t, float(np.mean(errs)), 100.0 * conv / len(series)))
     return rows
 
 
-def _metrics_csv(run_id: str, split: str, values: dict[str, float | None]) -> str:
-    cells = [run_id, split]
-    for col in METRICS_COLUMNS[2:]:
-        v = values[col]
-        cells.append("" if v is None else f"{v:.6f}")
-    return ",".join(METRICS_COLUMNS) + "\n" + ",".join(cells) + "\n"
+def _metric_cells(values: dict[str, float | None]) -> list[str]:
+    return ["" if values[c] is None else f"{values[c]:.6f}" for c in METRICS_COLUMNS[2:]]
 
 
 def _score_split(out_dir: str, manifest: ExperimentManifest, split: str, eval_ds: Dataset,
@@ -315,7 +321,8 @@ def _score_split(out_dir: str, manifest: ExperimentManifest, split: str, eval_ds
         "converged_pct": float(100.0 * np.mean([t.converged for _, t in traces])),
     }
     atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.csv"),
-                      _metrics_csv(run_id, split, values))
+                      ",".join(METRICS_COLUMNS) + "\n"
+                      + ",".join([run_id, split, *_metric_cells(values)]) + "\n")
     report = {"run_id": run_id, "split": split}
     report.update({k: ("" if v is None else v) for k, v in values.items()})
     atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.txt"), format_report(report))
@@ -344,20 +351,15 @@ def run_eval(dataset_path: str, out_dir: str, split: str = "test",
     override only changes the run_id written to the outputs.
     """
     stored = read_manifest(out_dir)
-    manifest = stored
-    if scheme is not None or scheme_seed is not None:
-        manifest = dataclasses.replace(
-            stored,
-            scheme=scheme if scheme is not None else stored.scheme,
-            scheme_seed=scheme_seed if scheme_seed is not None else stored.scheme_seed)
+    overrides = {"scheme": scheme, "scheme_seed": scheme_seed}
+    manifest = dataclasses.replace(stored, **{k: v for k, v in overrides.items() if v is not None})
     dataset = _check_dataset(manifest, dataset_path)
     eval_ds = dataset.subset(split)
     if len(eval_ds) == 0:
         raise ConfigError(f"dataset has no {split!r} split")
     global_model, local_models = load_models(out_dir, stored)
-    expected = {TAG_GLOBAL: model_digest(global_model)}
-    for i, model in enumerate(local_models):
-        expected[local_tag(i)] = model_digest(model)
+    expected = {TAG_GLOBAL: model_digest(global_model),
+                **{local_tag(i): model_digest(m) for i, m in enumerate(local_models)}}
     db = load_database(os.path.join(out_dir, REFDB_NAME), expected, run_id=stored.run_id)
     groups = manifest.make_groups()
     return _score_split(out_dir, manifest, split, eval_ds, lambda i: estimate_rank(
@@ -401,10 +403,8 @@ def run_sweep(dataset_path: str, out_dir: str, base: ExperimentManifest,
         run_train(dataset_path, manifest, cell_dir)
         run_build_refdb(dataset_path, cell_dir)
         values = run_eval(dataset_path, cell_dir, split=split)
-        cells_txt = [manifest.run_id, kind, f"{tau:g}", manifest.scheme]
-        cells_txt += ["" if values[c] is None else f"{values[c]:.6f}"
-                      for c in METRICS_COLUMNS[2:]]
-        rows.append(",".join(cells_txt))
+        rows.append(",".join([manifest.run_id, kind, f"{tau:g}", manifest.scheme,
+                              *_metric_cells(values)]))
     path = os.path.join(out_dir, "sweep.csv")
     atomic_write_text(path, "\n".join(rows) + "\n")
     return path

@@ -22,7 +22,10 @@ def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
     On any exception the temp file is removed and ``path`` is left untouched.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh
@@ -33,11 +36,22 @@ def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
         raise
 
 
+class _NpzEntries(dict):
+    """An npz artifact's arrays by name; looking up an absent entry raises DataError."""
+
+    def __init__(self, path: str, arrays: dict[str, np.ndarray]):
+        super().__init__(arrays)
+        self.path = path
+
+    def __missing__(self, name: str):
+        raise DataError(f"{self.path} has no {name!r} entry")
+
+
 def read_npz(path: str) -> dict[str, np.ndarray]:
     """Every array of an npz artifact; a file numpy cannot read as one raises DataError."""
     try:
         with np.load(path) as data:
-            return {name: data[name] for name in data.files}
+            return _NpzEntries(path, {name: data[name] for name in data.files})
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"{path} is not a readable npz file: {exc}") from None
 
@@ -52,7 +66,12 @@ def pack_meta(meta: dict, run_id: str | None = None) -> np.ndarray:
 def unpack_meta(data: Mapping[str, np.ndarray], path: str, version: int,
                 run_id: str | None = None) -> dict:
     """Decode ``data["meta"]``; it must carry ``version`` and, if given, ``run_id``."""
-    meta = json.loads(bytes(data["meta"]).decode())
+    try:
+        meta = json.loads(bytes(data["meta"]).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path} has a meta entry that is not a JSON object")
     if meta.get("format_version") != version:
         raise DataError(f"{path} has unsupported format version "
                         f"{meta.get('format_version')}, expected {version}")

@@ -1,7 +1,7 @@
 """Relative regressor: a shared MLP encoder plus a bounded regression head.
 
 The same encoder embeds the input instance and both references; the head
-consumes the concatenated triple of embeddings and emits an estimate in
+consumes the triple of embeddings side by side and emits an estimate in
 [-1, 1] through a final tanh.  Everything is plain float64 numpy with exact
 analytic backprop (the test suite checks gradients against central finite
 differences), squared-error loss, and Adam updates.
@@ -125,8 +125,8 @@ class _Mlp:
                  grads: list[np.ndarray], input_grad: bool = True) -> np.ndarray | None:
         """Gradients of a scalar loss given d(loss)/d(output).
 
-        Writes the parameter grads into ``grads``, arrays aligned with
-        ``parameters()``, and returns d(loss)/d(input), or None without
+        Writes the parameter grads into ``grads``, one array per weight and
+        bias in layer order, and returns d(loss)/d(input), or None without
         ``input_grad``.
         """
         n_layers = len(self.weights)
@@ -143,12 +143,6 @@ class _Mlp:
                 return None
             g = g @ self.weights[i].T
         return g
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
 
 
 class RelativeRegressor:
@@ -187,7 +181,7 @@ class RelativeRegressor:
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable arrays, encoder first: views into :attr:`flat`."""
-        return self._encoder.parameters() + self._head.parameters()
+        return _views(self.flat, self._shapes)
 
     def _as_batch(self, arr, dim: int, name: str) -> tuple[np.ndarray, bool]:
         a = np.asarray(arr, dtype=np.float64)
@@ -251,8 +245,8 @@ class RelativeRegressor:
             out[lo:lo + len(h1)] = block.reshape(len(h1), n)
         return out
 
-    def loss_and_gradients(self, x, y1, y2, rho_true):
-        """Mean squared error over a triplet batch and exact parameter gradients."""
+    def loss_and_gradients(self, x, y1, y2, rho_true) -> tuple[float, np.ndarray]:
+        """Mean squared error over a triplet batch and its exact gradient, laid out like ``flat``."""
         xb, _ = self._as_batch(x, self.input_dim, "x")
         y1b, _ = self._as_batch(y1, self.input_dim, "y1")
         y2b, _ = self._as_batch(y2, self.input_dim, "y2")
@@ -274,67 +268,54 @@ class RelativeRegressor:
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss")
         grad_pred = (2.0 / n) * (pred - rho)
-        grads = _views(np.empty_like(self.flat), self._shapes)
+        grad = np.empty_like(self.flat)
+        grads = _views(grad, self._shapes)
         grad_in = self._head.backward(head_acts, grad_pred[:, None], grads[self._n_encoder:])
         grad_feats = grad_in.reshape(n, 3, d).transpose(1, 0, 2).reshape(3 * n, d)
         self._encoder.backward(enc_acts, grad_feats, grads[:self._n_encoder], input_grad=False)
-        return loss, grads
+        return loss, grad
 
 
 class AdamState:
-    """First/second moment accumulators laid out like ``model.flat``.
+    """Step count, moment vectors ``m`` and ``v`` laid out like ``model.flat``, and scratch."""
 
-    ``m`` and ``v`` are views aligned with ``model.parameters()`` into the
-    flat ``m_flat`` and ``v_flat``; two more flat buffers are the step's
-    scratch space.
-    """
-
-    def __init__(self, shapes: list[tuple[int, ...]]):
-        size = sum(math.prod(s) for s in shapes)
+    def __init__(self, size: int):
         self.step = 0
-        self.m_flat = np.zeros(size)
-        self.v_flat = np.zeros(size)
-        self.m = _views(self.m_flat, shapes)
-        self.v = _views(self.v_flat, shapes)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self._scratch = (np.empty(size), np.empty(size))
 
     @classmethod
     def for_model(cls, model: RelativeRegressor) -> "AdamState":
-        return cls([p.shape for p in model.parameters()])
+        return cls(model.flat.size)
 
 
-def adam_step(model: RelativeRegressor, grads: list[np.ndarray], state: AdamState,
+def adam_step(model: RelativeRegressor, grad: np.ndarray, state: AdamState,
               lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> tuple[RelativeRegressor, AdamState]:
-    """One in-place Adam update with bias correction.
+    """One in-place Adam update with bias correction; ``grad`` is left unchanged.
 
     It runs once over the whole flat parameter vector, in the elementwise
     order of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` after the moment
     updates, so each parameter gets the bits a per-array update would give.
     """
-    params = model.parameters()
-    if len(grads) != len(params) or len(state.m) != len(params):
-        raise ShapeError("gradient/state lists do not match model parameters")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"gradient {g.shape} or moment {m.shape} does not match "
-                             f"parameter {p.shape}")
+    p, m, v = model.flat, state.m, state.v
+    if not getattr(grad, "shape", None) == m.shape == v.shape == p.shape:
+        raise ShapeError(f"gradient {getattr(grad, 'shape', type(grad))} or moments {m.shape} "
+                         f"do not match the flat parameters {p.shape}")
     state.step += 1
     correct1 = 1.0 - beta1 ** state.step
     correct2 = 1.0 - beta2 ** state.step
-    g, t = state._scratch
-    m, v, p = state.m_flat, state.v_flat, model.flat
-    np.concatenate(grads, axis=None, out=g)
+    t, u = state._scratch  # the scaled update and its denominator
     m *= beta1
-    np.multiply(g, 1.0 - beta1, out=t)
+    np.multiply(grad, 1.0 - beta1, out=t)
     m += t
     v *= beta2
-    np.multiply(g, g, out=t)
+    np.multiply(grad, grad, out=t)
     t *= 1.0 - beta2
     v += t
     np.divide(m, correct1, out=t)
     t *= lr
-    u = g  # the gradient is spent; its buffer holds the denominator
     np.divide(v, correct2, out=u)
     np.sqrt(u, out=u)
     u += eps
@@ -360,8 +341,7 @@ def model_digest(model: RelativeRegressor) -> str:
     """Hex digest of architecture plus exact parameter bytes."""
     h = hashlib.sha256()
     h.update(json.dumps(_spec_meta(model), sort_keys=True).encode())
-    for p in model.parameters():
-        h.update(np.ascontiguousarray(p, dtype=np.float64).tobytes())
+    h.update(model.flat.tobytes())  # the bytes of every parameter, in order
     return h.hexdigest()
 
 
@@ -380,7 +360,8 @@ def save_checkpoint(model: RelativeRegressor, path: str,
     for i, p in enumerate(model.parameters()):
         arrays[f"param_{i:03d}"] = p
     if optimizer is not None:
-        for i, (m, v) in enumerate(zip(optimizer.m, optimizer.v)):
+        moments = zip(_views(optimizer.m, model._shapes), _views(optimizer.v, model._shapes))
+        for i, (m, v) in enumerate(moments):
             arrays[f"adam_m_{i:03d}"] = m
             arrays[f"adam_v_{i:03d}"] = v
     with atomic_open(path, "wb") as fh:
@@ -415,6 +396,6 @@ def load_checkpoint(path: str, run_id: str | None = None,
     if meta.get("has_optimizer"):
         optimizer = AdamState.for_model(model)
         optimizer.step = int(meta["adam_step"])
-        _fill_from(data, "adam_m", optimizer.m)
-        _fill_from(data, "adam_v", optimizer.v)
+        _fill_from(data, "adam_m", _views(optimizer.m, model._shapes))
+        _fill_from(data, "adam_v", _views(optimizer.v, model._shapes))
     return model, optimizer

@@ -262,16 +262,14 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
         else:
             centers = iter(domain)
             window_domain = domain
-        ints, gammas = [], []
         tag_key = _tag_key(tag)
-        for center in centers:
-            window = make_window(center, scale, window_domain)
-            scored = _score_window(model, encoded, db, populated, window, tag_key)
-            if scored is not None:
-                ints.append(scored[0])
-                gammas.append(scored[1])
-        if not ints:
+        scored = (_score_window(model, encoded, db, populated,
+                                make_window(center, scale, window_domain), tag_key)
+                  for center in centers)
+        rows = [row for row in scored if row is not None]
+        if not rows:
             raise ConfigError(f"no usable windows for model {tag!r}; dataset too sparse")
+        ints, gammas = zip(*rows)
         table = PairTable(np.array(ints, dtype=np.int64), np.array(gammas, dtype=np.float64))
         tables[tag] = table
         log.info("refdb %s: %d windows, %d scored cells, %.2f s", tag, len(table),

@@ -177,9 +177,9 @@ def train_single(dataset: Dataset, config: TrainConfig, model: RelativeRegressor
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = slice(start, start + config.batch_size)
-            loss, grads = model.loss_and_gradients(
+            loss, grad = model.loss_and_gradients(
                 feats[x[batch]], feats[y1[batch]], feats[y2[batch]], rho[batch])
-            adam_step(model, grads, state, lr=config.lr)
+            adam_step(model, grad, state, lr=config.lr)
             total += loss * len(rho[batch])
         if on_epoch is not None:
             on_epoch(model_key, epoch, total / max(1, len(order)))

@@ -73,21 +73,19 @@ def sample_batch(model, rng, batch, eps=FD_EPS):
 
 def max_relative_error(model, x, y1, y2, rho, eps=FD_EPS):
     """Worst relative disagreement between analytic and FD gradients."""
-    _, grads = model.loss_and_gradients(x, y1, y2, rho)
+    _, grad = model.loss_and_gradients(x, y1, y2, rho)
     worst = 0.0
-    for p, g in zip(model.parameters(), grads):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for j in range(flat_p.size):
-            orig = flat_p[j]
-            flat_p[j] = orig + eps
-            hi, _, _ = reference_loss(model, x, y1, y2, rho)
-            flat_p[j] = orig - eps
-            lo, _, _ = reference_loss(model, x, y1, y2, rho)
-            flat_p[j] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            rel = abs(flat_g[j] - fd) / max(abs(flat_g[j]) + abs(fd), 1e-6)
-            worst = max(worst, rel)
+    flat = model.flat
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + eps
+        hi, _, _ = reference_loss(model, x, y1, y2, rho)
+        flat[j] = orig - eps
+        lo, _, _ = reference_loss(model, x, y1, y2, rho)
+        flat[j] = orig
+        fd = (hi - lo) / (2.0 * eps)
+        rel = abs(grad[j] - fd) / max(abs(grad[j]) + abs(fd), 1e-6)
+        worst = max(worst, rel)
     return worst
 
 

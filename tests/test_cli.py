@@ -5,16 +5,18 @@ can fix (bad flags, missing files, stale digests).  One subprocess smoke
 test proves the module entry point wires up outside pytest too.
 """
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rankwin.cli import main
-from rankwin.data import load_dataset
+from rankwin.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from rankwin.experiments import ExperimentManifest, file_digest, read_manifest
 
 FAST = ["--scale", "ari", "--tau", "2", "--alpha", "3",
@@ -140,6 +142,28 @@ def without_field(name):
     return lambda old: json.dumps({k: v for k, v in json.loads(old).items() if k != name}).encode()
 
 
+def with_field(name, value):
+    """An edit that sets manifest field ``name`` to the JSON ``value``."""
+    return lambda old: json.dumps({**json.loads(old), name: value}).encode()
+
+
+def npz_edit(name, value=None):
+    """An edit that drops npz entry ``name``, or replaces it with the array ``value``."""
+    def edit(old):
+        with np.load(io.BytesIO(old)) as data:
+            arrays = {k: data[k] for k in data.files if k != name}
+        if value is not None:
+            arrays[name] = value
+        out = io.BytesIO()
+        np.savez(out, **arrays)
+        return out.getvalue()
+    return edit
+
+
+REUSE = ["train", "--dataset", "{data}", "--out-dir", "{tmp}/new",
+         "--manifest", "{run}/manifest.json"]
+
+
 # "{run}" is a copy of the trained run directory; each edit rewrites one file
 # of the copy (or writes a new file) from its old bytes
 @pytest.mark.parametrize("argv, edits", [
@@ -157,9 +181,33 @@ def without_field(name):
     (["eval", "--dataset", "{data}", "--out-dir", "{run}"], {"global.npz": lambda b: b[:len(b) // 2]}),
     (["train", "--dataset", "{run}/latin1.csv", "--out-dir", "{tmp}/new", *FAST],
      {"latin1.csv": lambda b: "id,rank,f0\nb\u00e9,1,0.5\n".encode("latin-1")}),
+    (REUSE, {"manifest.json": with_field("epochs", "3")}),
+    (REUSE, {"manifest.json": with_field("tau", None)}),
+    (REUSE, {"manifest.json": with_field("encoder_hidden", 5)}),
+    (REUSE, {"manifest.json": with_field("epochs", 1.5)}),
+    (REUSE, {"manifest.json": with_field("epochs", True)}),
+    (REUSE, {"manifest.json": with_field("pool_cap", 0)}),
+    (REUSE, {"manifest.json": with_field("pair_cap", 0)}),
+    (["train", "--dataset", "{data}", "--out-dir", "{tmp}/new", *FAST, "--max-iter", "0"], {}),
+    (["train", "--dataset", "{data}", "--out-dir", "{tmp}/new", *FAST, "--k", "0"], {}),
+    (["train", "--dataset", "{data}", "--out-dir", "{tmp}/new", *FAST, "--scheme-seed", "-1"], {}),
+    (["gen", "--out", "{tmp}/nodir/x.csv", "--n", "10"], {}),
+    (["build-refdb", "--dataset", "{data}", "--out-dir", "{run}"],
+     {"global.npz": npz_edit("meta")}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
+     {"global.npz": npz_edit("param_003")}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"], {"refdb.npz": npz_edit("ranks")}),
+    (["inspect", "--out-dir", "{run}"], {"refdb.npz": npz_edit("ranks")}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
+     {"global.npz": npz_edit("meta", np.frombuffer(b"{not json", dtype=np.uint8))}),
 ], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau", "out-dir-is-a-file",
         "manifest-missing-field", "manifest-not-json", "inspect-corrupt-manifest",
-        "refdb-not-npz", "checkpoint-truncated", "dataset-not-utf8"])
+        "refdb-not-npz", "checkpoint-truncated", "dataset-not-utf8",
+        "manifest-int-as-string", "manifest-float-as-null", "manifest-tuple-as-int",
+        "manifest-int-as-float", "manifest-int-as-bool", "manifest-pool-cap-0",
+        "manifest-pair-cap-0", "max-iter-0", "k-0", "scheme-seed-negative",
+        "gen-into-missing-dir", "checkpoint-without-meta", "checkpoint-without-param",
+        "refdb-without-ranks", "inspect-refdb-without-ranks", "checkpoint-meta-not-json"])
 def test_user_errors_exit_2_without_traceback(argv, edits, run_dir, dataset_path, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
@@ -172,6 +220,20 @@ def test_user_errors_exit_2_without_traceback(argv, edits, run_dir, dataset_path
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not os.path.exists(tmp_path / "d.csv")
+    assert not os.path.exists(tmp_path / "new" / "global.npz")  # refused before training
+
+
+def test_gen_names_the_output_path_when_its_directory_is_missing(tmp_path, caplog):
+    out = str(tmp_path / "nodir" / "x.csv")
+    assert main(["gen", "--out", out, "--n", "10"]) == 2
+    assert out in caplog.text
+    assert ".tmp" not in caplog.text
+
+
+def test_gen_without_flags_writes_the_spec_defaults(tmp_path):
+    assert main(["gen", "--out", str(tmp_path / "cli.csv")]) == 0
+    save_dataset(generate_synthetic(SyntheticSpec()), str(tmp_path / "spec.csv"))
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
 
 
 def test_module_entry_point_smoke():

@@ -85,15 +85,40 @@ def test_manifest_rejects_unknown_fields():
         ExperimentManifest.from_json(json.dumps(d))
 
 
+def manifest_json_with(**fields):
+    """The small manifest's JSON with ``fields`` set to other JSON values."""
+    return json.dumps({**json.loads(small_manifest("0" * 64).to_json()), **fields})
+
+
 @pytest.mark.parametrize("text, match", [
     ("{", "not valid JSON"),
     ("[1, 2]", "JSON object"),
     (json.dumps({k: v for k, v in json.loads(small_manifest("0" * 64).to_json()).items()
                  if k != "encoder_hidden"}), r"missing manifest fields: \['encoder_hidden'\]"),
-], ids=["not-json", "not-an-object", "missing-field"])
+    (manifest_json_with(epochs="3"), "epochs must be int"),
+    (manifest_json_with(tau=None), "tau must be float"),
+    (manifest_json_with(encoder_hidden=5), "encoder_hidden must be tuple"),
+    (manifest_json_with(epochs=1.5), "epochs must be int"),
+    (manifest_json_with(epochs=True), "epochs must be int"),
+    (manifest_json_with(head_dims=[16, 8.0, 1]), "head_dims must be tuple"),
+    (manifest_json_with(pool_cap="64"), "pool_cap must be int | None"),
+    (manifest_json_with(pool_cap=0), "pool_cap and pair_cap"),
+    (manifest_json_with(pair_cap=0), "pool_cap and pair_cap"),
+    (manifest_json_with(k=0), "k and max_iter"),
+    (manifest_json_with(max_iter=0), "k and max_iter"),
+    (manifest_json_with(scheme_seed=-1), "scheme seed"),
+], ids=["not-json", "not-an-object", "missing-field", "int-as-string", "float-as-null",
+        "tuple-as-int", "int-as-float", "int-as-bool", "tuple-of-floats", "cap-as-string",
+        "pool-cap-0", "pair-cap-0", "k-0", "max-iter-0", "scheme-seed-negative"])
 def test_manifest_rejects_unreadable_json(text, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentManifest.from_json(text)
+
+
+def test_manifest_accepts_ints_for_floats_and_null_caps():
+    manifest = ExperimentManifest.from_json(manifest_json_with(tau=2, lr=1, pool_cap=None,
+                                                               pair_cap=None))
+    assert (manifest.tau, manifest.pool_cap, manifest.pair_cap) == (2, None, None)
 
 
 def test_manifest_rejects_other_versions():

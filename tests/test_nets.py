@@ -5,6 +5,7 @@ compared against central finite differences computed through an independent
 reference forward pass (see gradcheck_utils for the ReLU-kink handling).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -166,10 +167,9 @@ def test_loss_zero_at_own_predictions_kills_all_gradients():
     y1 = rng.normal(size=(6, 6))
     y2 = rng.normal(size=(6, 6))
     rho = m.regress(m.encode(x), m.encode(y1), m.encode(y2))
-    loss, grads = m.loss_and_gradients(x, y1, y2, rho)
+    loss, grad = m.loss_and_gradients(x, y1, y2, rho)
     assert loss == 0.0
-    for g in grads:
-        assert np.all(g == 0.0)
+    assert np.all(grad == 0.0)
 
 
 def test_loss_input_validation():
@@ -210,7 +210,7 @@ def test_adam_zero_gradient_keeps_parameters():
     m = small_model(1)
     before = [p.copy() for p in m.parameters()]
     state = AdamState.for_model(m)
-    adam_step(m, [np.zeros_like(p) for p in m.parameters()], state)
+    adam_step(m, np.zeros_like(m.flat), state)
     assert state.step == 1
     for p, q in zip(m.parameters(), before):
         assert np.array_equal(p, q)
@@ -219,8 +219,7 @@ def test_adam_zero_gradient_keeps_parameters():
 def test_adam_first_step_size_is_learning_rate():
     m = small_model(1)
     before = [p.copy() for p in m.parameters()]
-    grads = [np.ones_like(p) for p in m.parameters()]
-    adam_step(m, grads, AdamState.for_model(m), lr=1e-3)
+    adam_step(m, np.ones_like(m.flat), AdamState.for_model(m), lr=1e-3)
     for p, q in zip(m.parameters(), before):
         # bias-corrected first step is lr * g / (|g| + eps)
         assert np.allclose(q - p, 1e-3, rtol=1e-6)
@@ -228,11 +227,11 @@ def test_adam_first_step_size_is_learning_rate():
 
 def test_adam_constant_gradient_approaches_sign_update():
     m = small_model(1)
-    grads = [np.full_like(p, 0.25) for p in m.parameters()]
+    grad = np.full_like(m.flat, 0.25)
     state = AdamState.for_model(m)
     for _ in range(300):
         prev = m.parameters()[0][0, 0]
-        adam_step(m, grads, state, lr=1e-3)
+        adam_step(m, grad, state, lr=1e-3)
     delta = prev - m.parameters()[0][0, 0]
     assert delta == pytest.approx(1e-3, rel=1e-3)
 
@@ -241,9 +240,27 @@ def test_adam_rejects_mismatched_gradients():
     m = small_model()
     state = AdamState.for_model(m)
     with pytest.raises(ShapeError):
-        adam_step(m, [np.zeros(3)] * len(m.parameters()), state)
+        adam_step(m, np.zeros(3), state)
     with pytest.raises(ShapeError):
-        adam_step(m, m.parameters()[:-1], state)
+        adam_step(m, np.zeros_like(m.flat)[:-1], state)
+    with pytest.raises(ShapeError):  # the per-array list form is gone
+        adam_step(m, [np.zeros_like(p) for p in m.parameters()], state)
+    with pytest.raises(ShapeError):
+        adam_step(m, np.zeros_like(m.flat), AdamState(m.flat.size - 1))
+    assert state.step == 0
+
+
+def test_adam_leaves_the_gradient_unchanged():
+    rng = np.random.default_rng(5)
+    reused, fresh = small_model(1), small_model(1)
+    reused_state, fresh_state = AdamState.for_model(reused), AdamState.for_model(fresh)
+    grad = rng.normal(size=reused.flat.size)
+    want = grad.copy()
+    for _ in range(3):
+        adam_step(reused, grad, reused_state, lr=1e-3)
+        assert np.array_equal(grad, want)
+        adam_step(fresh, want.copy(), fresh_state, lr=1e-3)
+        assert np.array_equal(reused.flat, fresh.flat)
 
 
 # Oracles: the per-array arithmetic the flat layout replaced.  The flat
@@ -335,26 +352,23 @@ def test_flat_training_matches_per_array_oracle(encoder, head):
         n = int(rng.integers(1, 21))
         x, y1, y2 = rng.normal(size=(3, n, encoder.input_dim))
         rho = rng.uniform(-1, 1, n)
-        loss, grads = model.loss_and_gradients(x, y1, y2, rho)
+        loss, grad = model.loss_and_gradients(x, y1, y2, rho)
         want_loss, want_grads = oracle_loss_and_gradients(params, n_enc, x, y1, y2, rho)
         assert loss == want_loss
-        for g, want in zip(grads, want_grads, strict=True):
-            assert np.array_equal(g, want)
-        adam_step(model, grads, state, lr=1e-3)
+        assert np.array_equal(grad, np.concatenate(want_grads, axis=None))
+        adam_step(model, grad, state, lr=1e-3)
         oracle_adam_step(params, want_grads, m, v, step, lr=1e-3)
-        for got, want in zip(model.parameters() + state.m + state.v, params + m + v, strict=True):
-            assert np.array_equal(got, want), step
+        for got, want in ((model.flat, params), (state.m, m), (state.v, v)):
+            assert np.array_equal(got, np.concatenate(want, axis=None)), step
 
 
 def assert_flat(model, state=None):
-    """Every parameter (and moment) array is a view into its flat vector."""
+    """Every parameter array is a view into the flat vector; moments are laid out like it."""
     assert sum(p.size for p in model.parameters()) == model.flat.size
     for p in model.parameters():
         assert np.shares_memory(p, model.flat)
     if state is not None:
-        for a, b in zip(state.m, state.v, strict=True):
-            assert np.shares_memory(a, state.m_flat)
-            assert np.shares_memory(b, state.v_flat)
+        assert state.m.shape == state.v.shape == model.flat.shape
 
 
 def test_parameters_are_consecutive_views_of_the_flat_vector(tmp_path):
@@ -376,8 +390,8 @@ def test_parameters_are_consecutive_views_of_the_flat_vector(tmp_path):
     loaded, opt = load_checkpoint(path)
     assert_flat(loaded, opt)
     assert np.array_equal(loaded.flat, m.flat)
-    assert np.array_equal(opt.m_flat, state.m_flat)
-    assert np.array_equal(opt.v_flat, state.v_flat)
+    assert np.array_equal(opt.m, state.m)
+    assert np.array_equal(opt.v, state.v)
 
 
 def test_resumed_training_equals_uninterrupted(tmp_path):
@@ -401,16 +415,32 @@ def test_resumed_training_equals_uninterrupted(tmp_path):
     run(resumed, resumed_state, batches[7:])
     assert resumed_state.step == whole_state.step == 12
     assert model_digest(resumed) == model_digest(whole)
-    assert np.array_equal(resumed_state.m_flat, whole_state.m_flat)
-    assert np.array_equal(resumed_state.v_flat, whole_state.v_flat)
+    assert np.array_equal(resumed_state.m, whole_state.m)
+    assert np.array_equal(resumed_state.v, whole_state.v)
 
 
 def test_model_digest_tracks_parameters():
     a, b = small_model(3), small_model(3)
     assert model_digest(a) == model_digest(b)
-    grads = [np.ones_like(p) for p in a.parameters()]
-    adam_step(a, grads, AdamState.for_model(a))
+    adam_step(a, np.ones_like(a.flat), AdamState.for_model(a))
     assert model_digest(a) != model_digest(b)
+
+
+def test_model_digest_is_the_per_array_formula():
+    # the formula digests stored in existing refdb.npz files were made with
+    m = small_model(7)
+    state = AdamState.for_model(m)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x, y1, y2 = rng.normal(size=(3, 4, 6))
+        adam_step(m, m.loss_and_gradients(x, y1, y2, rng.uniform(-1, 1, 4))[1], state)
+    spec = {"format_version": 1, "seed": 7,
+            "encoder": {"input_dim": 6, "hidden_dims": [12], "output_dim": 8},
+            "head": {"layer_dims": [10, 6, 1]}}
+    h = hashlib.sha256(json.dumps(spec, sort_keys=True).encode())
+    for p in m.parameters():
+        h.update(np.ascontiguousarray(p, dtype=np.float64).tobytes())
+    assert model_digest(m) == h.hexdigest()
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -419,10 +449,10 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.normal(size=(4, 6))
-        _, grads = m.loss_and_gradients(x, rng.normal(size=(4, 6)),
-                                        rng.normal(size=(4, 6)),
-                                        rng.uniform(-1, 1, 4))
-        adam_step(m, grads, state)
+        _, grad = m.loss_and_gradients(x, rng.normal(size=(4, 6)),
+                                       rng.normal(size=(4, 6)),
+                                       rng.uniform(-1, 1, 4))
+        adam_step(m, grad, state)
     path = os.path.join(tmp_path, "model.npz")
     save_checkpoint(m, path, optimizer=state)
     loaded, opt = load_checkpoint(path)
@@ -430,8 +460,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     for p, q in zip(loaded.parameters(), m.parameters()):
         assert np.array_equal(p, q)
     assert opt.step == state.step
-    for a, b in zip(opt.m + opt.v, state.m + state.v):
-        assert np.array_equal(a, b)
+    assert np.array_equal(opt.m, state.m)
+    assert np.array_equal(opt.v, state.v)
 
 
 def test_checkpoint_without_optimizer(tmp_path):
