@@ -10,6 +10,10 @@ revisited estimate proves the cycle repeats forever), or after ``max_iter``
 iterations.  The local phase reruns the loop with per-group regressors,
 averaging the two candidates whenever the estimate falls where groups
 overlap.
+
+The trace is the plain data ``traces.jsonl`` stores: ``mwr_step`` returns one
+step dict (``group``, ``window``, ``center``, ``ref_positions``, ``ref_ranks``,
+``rho``, ``estimate``) and ``InferenceTrace.records`` one dict per iteration.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from rankwin.windows import (RankRange, RankScale, SearchWindow, make_window,
 
 __all__ = [
     "OracleRegressor",
-    "StepRecord",
-    "IterationRecord",
     "InferenceTrace",
     "initial_estimate",
     "Regress",
@@ -81,57 +83,13 @@ class OracleRegressor:
         return value
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One window evaluation: references used, estimate produced."""
-
-    group: int | None
-    window: SearchWindow
-    ref_positions: tuple[int, int] | None
-    ref_ranks: tuple[int, int]
-    rho: float
-    estimate: int
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "window": [self.window.low, self.window.high],
-            "center": self.window.center,
-            "ref_positions": list(self.ref_positions) if self.ref_positions else None,
-            "ref_ranks": list(self.ref_ranks),
-            "rho": self.rho,
-            "estimate": self.estimate,
-        }
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One refinement iteration; two steps when groups overlap."""
-
-    index: int
-    phase: str
-    steps: tuple[StepRecord, ...]
-    estimate: int
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "phase": self.phase,
-            "steps": [s.to_dict() for s in self.steps],
-            "estimate": self.estimate,
-        }
-
-    @property
-    def mean_abs_rho(self) -> float:
-        return float(np.mean([abs(s.rho) for s in self.steps]))
-
-
 @dataclass
 class InferenceTrace:
-    """Full history of one instance's estimate refinement."""
+    """Full history of one instance's estimate refinement; ``records`` are the
+    ``{"index", "phase", "steps", "estimate"}`` dicts ``traces.jsonl`` stores."""
 
     initial: int
-    records: list[IterationRecord] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
     converged: bool = False
     final_global: int = 0
     final_local: int = 0
@@ -150,7 +108,7 @@ class InferenceTrace:
             "converged": self.converged,
             "final_global": self.final_global,
             "final_local": self.final_local,
-            "iterations": [r.to_dict() for r in self.records],
+            "iterations": self.records,
         }
 
 
@@ -191,28 +149,28 @@ def model_regress(db: ReferenceDatabase, scheme: SelectionScheme,
 
 def mwr_step(estimate: int, regress: Regress, scale: RankScale, domain: RankRange, *,
              window_domain: RankRange | None = None, tag: str = TAG_GLOBAL,
-             group: int | None = None) -> tuple[int, StepRecord]:
+             group: int | None = None) -> dict:
     """One refinement: window around ``estimate`` -> references -> new estimate.
 
-    The reconstruction uses the ranks of the references ``regress`` used,
-    then rounds half-up and clips to the rank domain.
+    Returns the step as ``traces.jsonl`` stores it; its ``estimate`` is the
+    reconstruction from the ranks of the references ``regress`` used, rounded
+    half-up and clipped to the rank domain.
     """
     window = make_window(estimate, scale, window_domain or domain)
     positions, low_rank, high_rank, rho = regress(window, tag)
     value = reconstruct_rank(rho, low_rank, high_rank, scale)
-    new = domain.clip(round_half_up(value))
-    record = StepRecord(group=group, window=window, ref_positions=positions,
-                        ref_ranks=(low_rank, high_rank), rho=rho, estimate=new)
-    return new, record
+    return {"group": group, "window": [window.low, window.high], "center": window.center,
+            "ref_positions": list(positions) if positions else None,
+            "ref_ranks": [low_rank, high_rank], "rho": rho,
+            "estimate": domain.clip(round_half_up(value))}
 
 
-def _refine(start: int, phase: str,
-            steps_at: Callable[[int], list[tuple[int, StepRecord]]],
+def _refine(start: int, phase: str, steps_at: Callable[[int], list[dict]],
             domain: RankRange, max_iter: int, deterministic: bool) -> InferenceTrace:
     """The window loop of both phases, from ``start``.
 
     ``steps_at(estimate)`` evaluates every window around ``estimate`` and
-    returns one ``(candidate, step)`` each; two candidates average with ties
+    returns one step dict each; two step estimates average with ties
     rounding up.  Halts at a fixed point, on a two-cycle when
     ``deterministic``, or after ``max_iter`` iterations.
     """
@@ -221,22 +179,24 @@ def _refine(start: int, phase: str,
     if start not in domain:
         raise DomainError(f"{phase} start {start} outside domain [{domain.lo}, {domain.hi}]")
     estimates = [start]
-    records: list[IterationRecord] = []
+    records: list[dict] = []
     converged = False
     final = start
     for it in range(1, max_iter + 1):
         current = estimates[-1]
-        candidates, steps = zip(*steps_at(current))
-        new = candidates[0] if len(candidates) == 1 else \
-            domain.clip(round_half_up(sum(candidates) / len(candidates)))
-        records.append(IterationRecord(index=it, phase=phase, steps=steps, estimate=new))
+        steps = steps_at(current)
+        new = steps[0]["estimate"] if len(steps) == 1 else \
+            domain.clip(round_half_up(sum(s["estimate"] for s in steps) / len(steps)))
+        records.append({"index": it, "phase": phase, "steps": steps, "estimate": new})
         if new == current:
             converged, final = True, new
             break
         if deterministic and len(estimates) >= 2 and new == estimates[-2]:
-            # two-cycle: keep the estimate whose iteration regressed less;
-            # records[-1] produced ``new``, an exact tie keeps it
-            final = new if records[-1].mean_abs_rho <= records[-2].mean_abs_rho else current
+            # two-cycle: keep the estimate whose iteration regressed less
+            # (mean |ρ|); records[-1] produced ``new``, an exact tie keeps it
+            last, prev = (np.mean([abs(s["rho"]) for s in r["steps"]])
+                          for r in (records[-1], records[-2]))
+            final = new if last <= prev else current
             break
         estimates.append(new)
         final = new
@@ -262,7 +222,7 @@ def run_local(start: int, regress: Regress, groups: Sequence[RankGroup],
     if not groups:
         raise ConfigError("local phase needs at least one group")
 
-    def steps_at(estimate: int) -> list[tuple[int, StepRecord]]:
+    def steps_at(estimate: int) -> list[dict]:
         return [mwr_step(estimate, regress, scale, domain, window_domain=groups[gi].extended_range,
                          tag=local_tag(gi), group=gi)
                 for gi in groups_containing(estimate, groups)]

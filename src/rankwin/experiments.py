@@ -126,8 +126,8 @@ class ExperimentManifest:
         if any(cap is not None and cap < 1 for cap in (self.pool_cap, self.pair_cap)):
             raise ConfigError(f"pool_cap and pair_cap must be null or >= 1, "
                               f"got {self.pool_cap} and {self.pair_cap}")
-        self.selection  # SelectionScheme owns the scheme_seed check
-        # the rest is validated by the objects built from these fields
+        # the objects built from these fields own their checks (tau, domain, scheme_seed)
+        self.scale, self.domain, self.selection
 
     @property
     def scale(self) -> RankScale:
@@ -277,17 +277,13 @@ def _phase_iteration_table(traces, phase: str, max_iter: int):
     """Per-iteration mean |error| and cumulative converged %, one phase."""
     series = []
     for truth, trace in traces:
-        records = [r for r in trace.records if r.phase == phase]
+        records = [r for r in trace.records if r["phase"] == phase]
         if not records:
             continue
-        # the first window is built around the estimate entering the phase
-        prev = records[0].steps[0].window.center
-        converged_at = None
-        for i, rec in enumerate(records):
-            if rec.estimate == prev:
-                converged_at = i + 1
-            prev = rec.estimate
-        series.append((truth, [r.estimate for r in records], converged_at))
+        # the first window is built around the estimate entering the phase; a
+        # fixed point (an estimate equal to its predecessor) ends the phase
+        path = [records[0]["steps"][0]["center"]] + [r["estimate"] for r in records]
+        series.append((truth, path[1:], len(records) if path[-1] == path[-2] else None))
     rows = []
     for t in range(1, max_iter + 1) if series else ():
         errs = [abs(est[min(t, len(est)) - 1] - truth) for truth, est, _ in series]
@@ -395,10 +391,11 @@ def run_sweep(dataset_path: str, out_dir: str, base: ExperimentManifest,
     """Train+evaluate one run per (scale, tau) cell; aggregate one CSV."""
     if not cells:
         raise ConfigError("sweep needs at least one (scale, tau) cell")
+    # every cell is checked before the first one trains
+    manifests = [dataclasses.replace(base, scale_kind=kind, tau=tau) for kind, tau in cells]
     os.makedirs(out_dir, exist_ok=True)
     rows = ["run_id,scale,tau,scheme," + ",".join(METRICS_COLUMNS[2:])]
-    for kind, tau in cells:
-        manifest = dataclasses.replace(base, scale_kind=kind, tau=tau)
+    for (kind, tau), manifest in zip(cells, manifests):
         cell_dir = os.path.join(out_dir, f"cell_{kind}_{tau:g}")
         run_train(dataset_path, manifest, cell_dir)
         run_build_refdb(dataset_path, cell_dir)

@@ -36,22 +36,22 @@ def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
         raise
 
 
-class _NpzEntries(dict):
-    """An npz artifact's arrays by name; looking up an absent entry raises DataError."""
+class _Entries(dict):
+    """An artifact's items by name; looking up an absent one raises DataError."""
 
-    def __init__(self, path: str, arrays: dict[str, np.ndarray]):
-        super().__init__(arrays)
-        self.path = path
+    def __init__(self, path: str, items: dict, kind: str = "entry"):
+        super().__init__(items)
+        self.path, self.kind = path, kind
 
     def __missing__(self, name: str):
-        raise DataError(f"{self.path} has no {name!r} entry")
+        raise DataError(f"{self.path} has no {name!r} {self.kind}")
 
 
 def read_npz(path: str) -> dict[str, np.ndarray]:
     """Every array of an npz artifact; a file numpy cannot read as one raises DataError."""
     try:
         with np.load(path) as data:
-            return _NpzEntries(path, {name: data[name] for name in data.files})
+            return _Entries(path, {name: data[name] for name in data.files})
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"{path} is not a readable npz file: {exc}") from None
 
@@ -65,9 +65,13 @@ def pack_meta(meta: dict, run_id: str | None = None) -> np.ndarray:
 
 def unpack_meta(data: Mapping[str, np.ndarray], path: str, version: int,
                 run_id: str | None = None) -> dict:
-    """Decode ``data["meta"]``; it must carry ``version`` and, if given, ``run_id``."""
+    """Decode ``data["meta"]``; it must carry ``version`` and, if given, ``run_id``.
+
+    Looking up a key the meta (or an object nested in it) lacks raises DataError.
+    """
     try:
-        meta = json.loads(bytes(data["meta"]).decode())
+        meta = json.loads(bytes(data["meta"]).decode(),
+                          object_hook=lambda d: _Entries(path, d, "meta key"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         meta = None
     if not isinstance(meta, dict):

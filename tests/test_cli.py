@@ -106,6 +106,13 @@ def test_sweep_prints_the_grid(dataset_path, tmp_path, capsys):
     assert os.path.exists(tmp_path / "sweep.csv")
 
 
+def test_sweep_refuses_a_bad_cell_before_training_any(dataset_path, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", dataset_path, "--out-dir", str(out), *FAST,
+                 "--cells", "geo:0.1,ari:2.5"]) == 2
+    assert not list(tmp_path.glob("sweep/cell_*"))
+
+
 # ------------------------------------------------------------ error paths
 
 def test_eval_before_train_exits_2(dataset_path, tmp_path):
@@ -148,15 +155,25 @@ def with_field(name, value):
 
 
 def npz_edit(name, value=None):
-    """An edit that drops npz entry ``name``, or replaces it with the array ``value``."""
+    """An edit that drops npz entry ``name``, or replaces it with the array ``value``
+    (or with ``value(old entry)`` when ``value`` is a function)."""
     def edit(old):
         with np.load(io.BytesIO(old)) as data:
             arrays = {k: data[k] for k in data.files if k != name}
-        if value is not None:
-            arrays[name] = value
+            if value is not None:
+                arrays[name] = value(data[name]) if callable(value) else value
         out = io.BytesIO()
         np.savez(out, **arrays)
         return out.getvalue()
+    return edit
+
+
+def meta_without(key):
+    """A value for ``npz_edit("meta", ...)``: the old meta without ``key``."""
+    def edit(old):
+        meta = json.loads(bytes(old).decode())
+        del meta[key]
+        return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     return edit
 
 
@@ -200,6 +217,10 @@ REUSE = ["train", "--dataset", "{data}", "--out-dir", "{tmp}/new",
     (["inspect", "--out-dir", "{run}"], {"refdb.npz": npz_edit("ranks")}),
     (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
      {"global.npz": npz_edit("meta", np.frombuffer(b"{not json", dtype=np.uint8))}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
+     {"global.npz": npz_edit("meta", meta_without("encoder"))}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
+     {"refdb.npz": npz_edit("meta", meta_without("digests"))}),
 ], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau", "out-dir-is-a-file",
         "manifest-missing-field", "manifest-not-json", "inspect-corrupt-manifest",
         "refdb-not-npz", "checkpoint-truncated", "dataset-not-utf8",
@@ -207,7 +228,8 @@ REUSE = ["train", "--dataset", "{data}", "--out-dir", "{tmp}/new",
         "manifest-int-as-float", "manifest-int-as-bool", "manifest-pool-cap-0",
         "manifest-pair-cap-0", "max-iter-0", "k-0", "scheme-seed-negative",
         "gen-into-missing-dir", "checkpoint-without-meta", "checkpoint-without-param",
-        "refdb-without-ranks", "inspect-refdb-without-ranks", "checkpoint-meta-not-json"])
+        "refdb-without-ranks", "inspect-refdb-without-ranks", "checkpoint-meta-not-json",
+        "checkpoint-meta-missing-key", "refdb-meta-missing-key"])
 def test_user_errors_exit_2_without_traceback(argv, edits, run_dir, dataset_path, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)

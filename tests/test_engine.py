@@ -82,15 +82,15 @@ def test_initial_estimate_averages_neighbor_ranks():
 
 
 def test_mwr_step_oracle_clamps_and_moves_one_width():
-    new, record = mwr_step(30, oracle_regress(OracleRegressor(), 22, ARI3), ARI3, DOMAIN)
-    assert new == 27
-    assert record.window.low == 27 and record.window.high == 33
-    assert record.ref_ranks == (27, 33)
-    assert record.ref_positions is None
-    assert record.rho == -1.0
-    near, rec = mwr_step(24, oracle_regress(OracleRegressor(), 22, ARI3), ARI3, DOMAIN)
-    assert near == 22  # window (21, 27) covers the truth, lands exactly
-    assert rec.rho == pytest.approx(-2 / 3, abs=1e-15)
+    step = mwr_step(30, oracle_regress(OracleRegressor(), 22, ARI3), ARI3, DOMAIN)
+    assert step["estimate"] == 27
+    assert step["window"][0] == 27 and step["window"][1] == 33
+    assert step["ref_ranks"] == [27, 33]
+    assert step["ref_positions"] is None
+    assert step["rho"] == -1.0
+    near = mwr_step(24, oracle_regress(OracleRegressor(), 22, ARI3), ARI3, DOMAIN)
+    assert near["estimate"] == 22  # window (21, 27) covers the truth, lands exactly
+    assert near["rho"] == pytest.approx(-2 / 3, abs=1e-15)
 
 
 def test_noiseless_oracle_converges_to_truth_in_bound():
@@ -99,7 +99,7 @@ def test_noiseless_oracle_converges_to_truth_in_bound():
     assert final == 22
     assert trace.converged
     assert trace.iterations == 7  # six full-width moves plus the confirm step
-    assert [r.estimate for r in trace.records] == [37, 34, 31, 28, 25, 22, 22]
+    assert [r["estimate"] for r in trace.records] == [37, 34, 31, 28, 25, 22, 22]
     for truth, init in [(5, 70), (80, 1), (33, 33), (60, 59)]:
         final, trace = run_global(oracle_regress(oracle, truth, ARI3), ARI3, DOMAIN,
                                   init=init, max_iter=40)
@@ -135,7 +135,7 @@ def test_two_cycle_keeps_smaller_rho_estimate(phase):
     # 30 -> 31 on rho 0.2, then 31 -> 30 on rho -0.34: the second iteration
     # regressed harder, so the halt keeps 31
     final, trace = run_phase(phase, scripted([0.2, -0.34]))
-    assert [r.estimate for r in trace.records] == [31, 30]
+    assert [r["estimate"] for r in trace.records] == [31, 30]
     assert final == 31
     assert not trace.converged
 
@@ -153,7 +153,7 @@ def test_stochastic_estimator_disables_cycle_guard(phase):
     final, trace = run_phase(phase, scripted(values), max_iter=6, stochastic=True)
     assert trace.iterations == 6
     assert not trace.converged
-    assert final == trace.records[-1].estimate
+    assert final == trace.records[-1]["estimate"]
 
 
 def test_run_global_validation():
@@ -170,7 +170,7 @@ def test_noisy_oracle_is_reproducible_per_seed():
     for _ in range(2):
         final, trace = run_global(oracle_regress(oracle, 30, ARI3, instance_key=123),
                                   ARI3, DOMAIN, init=50, stochastic=True)
-        runs.append((final, [r.estimate for r in trace.records]))
+        runs.append((final, [r["estimate"] for r in trace.records]))
     assert runs[0] == runs[1]
 
 
@@ -184,22 +184,22 @@ def test_local_overlap_averages_the_group_candidates():
     final, trace = run_local(13, oracle_regress(OracleRegressor(), 15, ARI3), GROUPS,
                              ARI3, DOMAIN)
     first = trace.records[0]
-    assert [s.group for s in first.steps] == [0, 1]
-    assert [s.window.low for s in first.steps] == [10, 10]
-    assert [s.window.high for s in first.steps] == [14, 16]
-    assert [s.estimate for s in first.steps] == [14, 15]
-    assert first.estimate == 15
+    assert [s["group"] for s in first["steps"]] == [0, 1]
+    assert [s["window"][0] for s in first["steps"]] == [10, 10]
+    assert [s["window"][1] for s in first["steps"]] == [14, 16]
+    assert [s["estimate"] for s in first["steps"]] == [14, 15]
+    assert first["estimate"] == 15
     # 15 sits only in group 1's core; one more step confirms the fixed point
     assert final == 15
     assert trace.converged
-    assert [s.group for s in trace.records[1].steps] == [1]
+    assert [s["group"] for s in trace.records[1]["steps"]] == [1]
 
 
 def test_local_single_group_runs_alone():
     final, trace = run_local(25, oracle_regress(OracleRegressor(), 28, ARI3), GROUPS,
                              ARI3, DOMAIN)
     assert final == 28
-    assert all(s.group == 1 for r in trace.records for s in r.steps)
+    assert all(s["group"] == 1 for r in trace.records for s in r["steps"])
     assert trace.final_global == 25  # local trace keeps its entry estimate
 
 
@@ -304,13 +304,13 @@ def test_estimate_rank_model_trace_invariants(trained_setup):
         assert trace.final == trace.final_local
         assert trace.initial in domain
         assert trace.final in domain
-        phases = [r.phase for r in trace.records]
+        phases = [r["phase"] for r in trace.records]
         assert phases == sorted(phases)  # all global records before local
         for record in trace.records:
-            for step in record.steps:
-                assert step.ref_positions is not None
-                assert step.ref_ranks[0] < step.ref_ranks[1]
-                assert -1.0 <= step.rho <= 1.0
+            for step in record["steps"]:
+                assert step["ref_positions"] is not None
+                assert step["ref_ranks"][0] < step["ref_ranks"][1]
+                assert -1.0 <= step["rho"] <= 1.0
         blob = json.dumps(trace.to_dict(), sort_keys=True)
         assert json.loads(blob)["initial"] == trace.initial
 
@@ -351,7 +351,7 @@ def test_estimate_rank_oracle_mode(trained_setup):
                           oracle=OracleRegressor(), truth=int(ds.ranks[5]),
                           groups=groups)
     assert trace.final == int(ds.ranks[5])
-    assert {r.phase for r in trace.records} == {"global", "local"}
+    assert {r["phase"] for r in trace.records} == {"global", "local"}
 
 
 def test_estimate_rank_requires_exactly_one_estimator(trained_setup):

@@ -19,14 +19,16 @@ import pytest
 from rankwin.data import SyntheticSpec, generate_synthetic, save_dataset
 from rankwin.errors import ConfigError, DigestMismatchError
 from rankwin.experiments import (METRICS_COLUMNS, ExperimentManifest,
-                                 atomic_write_text, file_digest, inspect_run,
-                                 read_manifest, run_build_refdb, run_eval,
-                                 run_simulate, run_sweep, run_train)
+                                 _phase_iteration_table, atomic_write_text,
+                                 file_digest, inspect_run, read_manifest,
+                                 run_build_refdb, run_eval, run_simulate,
+                                 run_sweep, run_train)
 from rankwin.fileio import atomic_open
 from rankwin.nets import load_checkpoint, save_checkpoint
 from rankwin.refdb import (TABLE_COLUMNS, TAG_GLOBAL, load_database, local_tag,
                            save_database)
 from rankwin.windows import RankRange
+from test_engine import pinned_oracle_trace, run_phase, scripted
 
 
 def small_manifest(digest, **overrides):
@@ -132,6 +134,8 @@ def test_manifest_rejects_other_versions():
     {"partition": "golden7"},
     {"scheme": "median"},
     {"scale_kind": "log"},
+    {"tau": 2.5},
+    {"domain_lo": 16},
 ])
 def test_manifest_field_validation(bad):
     with pytest.raises(ConfigError):
@@ -327,6 +331,32 @@ def test_eval_convergence_table_covers_both_phases(trained_run, dataset_path):
         assert 1 <= int(it) <= manifest.max_iter
         assert float(err) >= 0.0
         assert 0.0 <= float(pct) <= 100.0
+
+
+def test_convergence_rows_of_pinned_traces():
+    # the pinned oracle traces of test_engine (truth 20): the noiseless one
+    # reaches a fixed point at global iteration 4 and local iteration 1; the
+    # noisy one runs out of global iterations and settles at local iteration 2.
+    # A scripted two-cycle (truth 30) per phase never converges.
+    noiseless, _ = pinned_oracle_trace(0.0)
+    noisy, _ = pinned_oracle_trace(0.2)
+    cycles = {phase: run_phase(phase, scripted([0.2, -0.34]))[1]
+              for phase in ("global", "local")}
+    traces = [(20, noiseless), (20, noisy)]
+    assert _phase_iteration_table(traces + [(30, cycles["global"])], "global", 4) == [
+        ("global", 1, (4 + 4 + 1) / 3, 0.0),
+        ("global", 2, (1 + 2 + 0) / 3, 0.0),
+        ("global", 3, 0.0, 0.0),
+        ("global", 4, (0 + 1 + 0) / 3, 100.0 * 1 / 3),
+    ]
+    assert _phase_iteration_table(traces + [(30, cycles["local"])], "local", 4) == [
+        ("local", 1, (0 + 0 + 1) / 3, 100.0 * 1 / 3),
+        ("local", 2, 0.0, 100.0 * 2 / 3),
+        ("local", 3, 0.0, 100.0 * 2 / 3),
+        ("local", 4, 0.0, 100.0 * 2 / 3),
+    ]
+    # a phase that no trace ran has no rows
+    assert _phase_iteration_table([(30, cycles["global"])], "local", 4) == []
 
 
 def test_eval_scheme_override_with_prefix(trained_run, dataset_path):

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no ``__all__``
+lists a name its module lacks.
 
 A stdlib ``ast`` pass over the package, the tests and the scripts.  A name
 counts as used when it is loaded anywhere in the module or listed in the
@@ -6,6 +7,7 @@ module's ``__all__``; ``from __future__`` imports are exempt.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -50,3 +52,11 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(path):
     with open(os.path.join(ROOT, path)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("module", ["rankwin"] + [
+    "rankwin." + name[:-3] for name in sorted(os.listdir(os.path.join(ROOT, "src/rankwin")))
+    if name.endswith(".py") and name != "__init__.py"])
+def test_all_names_exist(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

@@ -485,6 +485,21 @@ def test_checkpoint_of_unknown_format_version_is_refused(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("owner, key", [(None, "encoder"), ("encoder", "hidden_dims")])
+def test_checkpoint_meta_missing_key_names_file_and_key(tmp_path, owner, key):
+    path = os.path.join(tmp_path, "model.npz")
+    save_checkpoint(small_model(), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    del (meta[owner] if owner else meta)[key]
+    arrays["meta"] = pack_meta(meta)
+    np.savez(path, **arrays)
+    with pytest.raises(DataError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path} has no {key!r} meta key"
+
+
 def test_checkpoint_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(os.path.join(tmp_path, "absent.npz"))
