@@ -14,8 +14,7 @@ from rankwin.engine import (InferenceTrace, OracleRegressor, estimate_rank,
 from rankwin.errors import (ConfigError, DataError, DigestMismatchError,
                             DomainError, NumericalError, RankwinError,
                             SelectionError, ShapeError)
-from rankwin.metrics import (EvalRecord, accuracy, cumulative_score,
-                             epsilon_error, mae)
+from rankwin.metrics import accuracy, cumulative_score, epsilon_error, mae
 from rankwin.nets import (AdamState, EncoderSpec, HeadSpec, RelativeRegressor,
                           adam_step, load_checkpoint, model_digest,
                           save_checkpoint)
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "ConfigError", "DataError", "Dataset", "DigestMismatchError",
-    "DomainError", "EncoderSpec", "EvalRecord", "HeadSpec", "InferenceTrace",
+    "DomainError", "EncoderSpec", "HeadSpec", "InferenceTrace",
     "NumericalError", "OracleRegressor", "PairTable", "RankGroup", "RankRange",
     "RankScale", "RankwinError", "ReferenceDatabase", "RelativeRegressor",
     "ScaleKind", "SearchWindow", "SelectionError", "SelectionKind",

@@ -25,8 +25,8 @@ from rankwin.data import Dataset, load_dataset
 from rankwin.engine import InferenceTrace, OracleRegressor, estimate_rank
 from rankwin.errors import ConfigError, DigestMismatchError
 from rankwin.fileio import atomic_open
-from rankwin.metrics import (EvalRecord, accuracy, cumulative_score,
-                             epsilon_error, format_report, mae)
+from rankwin.metrics import (accuracy, cumulative_score, epsilon_error,
+                             format_report, mae)
 from rankwin.nets import (EncoderSpec, HeadSpec, RelativeRegressor,
                           load_checkpoint, model_digest, save_checkpoint)
 from rankwin.partition import RankGroup, partition_equal, partition_golden
@@ -126,8 +126,8 @@ class ExperimentManifest:
         if any(cap is not None and cap < 1 for cap in (self.pool_cap, self.pair_cap)):
             raise ConfigError(f"pool_cap and pair_cap must be null or >= 1, "
                               f"got {self.pool_cap} and {self.pair_cap}")
-        # the objects built from these fields own their checks (tau, domain, scheme_seed)
-        self.scale, self.domain, self.selection
+        # the objects built from these fields own their checks (tau, domain, scheme_seed, lr, ...)
+        self.scale, self.domain, self.selection, self.train_config()
 
     @property
     def scale(self) -> RankScale:
@@ -273,20 +273,20 @@ def run_build_refdb(dataset_path: str, out_dir: str) -> str:
     return path
 
 
-def _phase_iteration_table(traces, phase: str, max_iter: int):
-    """Per-iteration mean |error| and cumulative converged %, one phase."""
+def _phase_iteration_table(truth, traces, phase: str, max_iter: int):
+    """Per-iteration mean |error| and cumulative converged %, one phase of ``traces``."""
     series = []
-    for truth, trace in traces:
+    for rank, trace in zip(truth, traces):
         records = [r for r in trace.records if r["phase"] == phase]
         if not records:
             continue
         # the first window is built around the estimate entering the phase; a
         # fixed point (an estimate equal to its predecessor) ends the phase
         path = [records[0]["steps"][0]["center"]] + [r["estimate"] for r in records]
-        series.append((truth, path[1:], len(records) if path[-1] == path[-2] else None))
+        series.append((rank, path[1:], len(records) if path[-1] == path[-2] else None))
     rows = []
     for t in range(1, max_iter + 1) if series else ():
-        errs = [abs(est[min(t, len(est)) - 1] - truth) for truth, est, _ in series]
+        errs = [abs(est[min(t, len(est)) - 1] - rank) for rank, est, _ in series]
         conv = sum(1 for _, _, c in series if c is not None and c <= t)
         rows.append((phase, t, float(np.mean(errs)), 100.0 * conv / len(series)))
     return rows
@@ -301,20 +301,15 @@ def _score_split(out_dir: str, manifest: ExperimentManifest, split: str, eval_ds
                  prefix: str = "") -> dict[str, float | None]:
     """Score instance ``i`` of ``eval_ds`` with ``estimate(i)`` and write the split's outputs."""
     run_id = manifest.run_id
-    records, traces = [], []
-    for i in range(len(eval_ds)):
-        trace = estimate(i)
-        truth = int(eval_ds.ranks[i])
-        sigma = float(eval_ds.sigmas[i]) if eval_ds.has_sigma else None
-        records.append(EvalRecord(eval_ds.ids[i], truth, trace.final, sigma))
-        traces.append((truth, trace))
+    traces = [estimate(i) for i in range(len(eval_ds))]
+    truth, pred = eval_ds.ranks, np.array([trace.final for trace in traces])
     values: dict[str, float | None] = {
-        "mae": mae(records),
-        "cs5": cumulative_score(records, 5),
-        "eps_error": epsilon_error(records) if eval_ds.has_sigma else None,
-        "accuracy": accuracy(records),
-        "mean_iters": float(np.mean([t.iterations for _, t in traces])),
-        "converged_pct": float(100.0 * np.mean([t.converged for _, t in traces])),
+        "mae": mae(truth, pred),
+        "cs5": cumulative_score(truth, pred, 5),
+        "eps_error": epsilon_error(truth, pred, eval_ds.sigmas) if eval_ds.has_sigma else None,
+        "accuracy": accuracy(truth, pred),
+        "mean_iters": float(np.mean([t.iterations for t in traces])),
+        "converged_pct": float(100.0 * np.mean([t.converged for t in traces])),
     }
     atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.csv"),
                       ",".join(METRICS_COLUMNS) + "\n"
@@ -322,16 +317,14 @@ def _score_split(out_dir: str, manifest: ExperimentManifest, split: str, eval_ds
     report = {"run_id": run_id, "split": split}
     report.update({k: ("" if v is None else v) for k, v in values.items()})
     atomic_write_text(os.path.join(out_dir, f"{prefix}metrics.txt"), format_report(report))
-    trace_lines = []
-    for record, (truth, trace) in zip(records, traces):
-        row = {"run_id": run_id, "id": record.instance_id, "truth": truth}
-        row.update(trace.to_dict())
-        trace_lines.append(json.dumps(row, sort_keys=True))
+    trace_lines = [json.dumps({"run_id": run_id, "id": instance_id, "truth": rank,
+                               **trace.to_dict()}, sort_keys=True)
+                   for instance_id, rank, trace in zip(eval_ds.ids, truth.tolist(), traces)]
     atomic_write_text(os.path.join(out_dir, f"{prefix}traces.jsonl"),
                       "\n".join(trace_lines) + "\n")
     conv_rows = ["run_id,phase,iteration,mean_abs_error,converged_cum_pct"]
     for phase in ("global", "local"):
-        for ph, t, err, pct in _phase_iteration_table(traces, phase, manifest.max_iter):
+        for ph, t, err, pct in _phase_iteration_table(truth, traces, phase, manifest.max_iter):
             conv_rows.append(f"{run_id},{ph},{t},{err:.6f},{pct:.6f}")
     atomic_write_text(os.path.join(out_dir, f"{prefix}convergence.csv"),
                       "\n".join(conv_rows) + "\n")

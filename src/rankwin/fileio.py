@@ -12,7 +12,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from rankwin.errors import DataError, DigestMismatchError
+from rankwin.errors import DataError, DigestMismatchError, RankwinError
 
 
 @contextlib.contextmanager
@@ -82,3 +82,15 @@ def unpack_meta(data: Mapping[str, np.ndarray], path: str, version: int,
     if run_id is not None and meta.get("run_id") != run_id:
         raise DigestMismatchError(f"{path} belongs to run {meta.get('run_id')}, expected {run_id}")
     return meta
+
+
+@contextlib.contextmanager
+def decoding_meta(path: str) -> Iterator[None]:
+    """Build objects from ``path``'s meta inside this block: a meta value of the wrong
+    JSON type (a TypeError, ValueError or IndexError) raises DataError naming the file."""
+    try:
+        yield
+    except RankwinError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"{path} has an unusable meta value: {exc}") from None

@@ -1,16 +1,14 @@
-"""Evaluation records and the standard ordinal-error summaries."""
+"""The standard ordinal-error summaries over truth and prediction arrays."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from rankwin.errors import ConfigError, DataError, DomainError
 
 __all__ = [
-    "EvalRecord",
     "mae",
     "cumulative_score",
     "epsilon_error",
@@ -19,53 +17,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """Truth/prediction pair for one instance; sigma is optional."""
-
-    instance_id: str
-    truth: int
-    prediction: int
-    sigma: float | None = None
-
-
-def _errors(records: Sequence[EvalRecord]) -> np.ndarray:
-    if not records:
-        raise DomainError("no evaluation records")
-    return np.array([r.prediction - r.truth for r in records], dtype=np.float64)
+def _errors(truth, pred) -> np.ndarray:
+    """``pred - truth`` in float64; both must be 1-d, equally long and nonempty."""
+    truth, pred = np.asarray(truth, dtype=np.float64), np.asarray(pred, dtype=np.float64)
+    if truth.ndim != 1 or truth.shape != pred.shape:
+        raise DataError(f"truth and prediction must be 1-d arrays of one length, "
+                        f"got shapes {truth.shape} and {pred.shape}")
+    if len(truth) == 0:
+        raise DomainError("no evaluation instances")
+    return pred - truth
 
 
-def mae(records: Sequence[EvalRecord]) -> float:
+def mae(truth, pred) -> float:
     """Mean absolute error in rank units."""
-    return float(np.mean(np.abs(_errors(records))))
+    return float(np.mean(np.abs(_errors(truth, pred))))
 
 
-def cumulative_score(records: Sequence[EvalRecord], tolerance: int = 5) -> float:
-    """Percentage of records with |error| <= tolerance."""
+def cumulative_score(truth, pred, tolerance: int = 5) -> float:
+    """Percentage of instances with |error| <= tolerance."""
     if tolerance < 0:
         raise ConfigError(f"tolerance must be >= 0, got {tolerance}")
-    return float(100.0 * np.mean(np.abs(_errors(records)) <= tolerance))
+    return float(100.0 * np.mean(np.abs(_errors(truth, pred)) <= tolerance))
 
 
-def epsilon_error(records: Sequence[EvalRecord]) -> float:
-    """Mean of 1 - exp(-err^2 / (2 sigma^2)); needs per-record sigma > 0.
+def epsilon_error(truth, pred, sigma) -> float:
+    """Mean of 1 - exp(-err^2 / (2 sigma^2)); ``sigma`` holds one value > 0 per instance.
 
     Soft accuracy that forgives errors small relative to the label's own
     uncertainty: an |error| of exactly sigma scores 1 - exp(-1/2).
     """
-    err = _errors(records)
-    sigmas = [r.sigma for r in records]
-    if any(s is None for s in sigmas):
-        raise DataError("epsilon error needs a sigma on every record")
-    sig = np.array(sigmas, dtype=np.float64)
+    err = _errors(truth, pred)
+    sig = np.asarray(sigma, dtype=np.float64)
+    if sig.shape != err.shape:
+        raise DataError(f"epsilon error needs one sigma per instance, got shape {sig.shape}")
     if not np.all(np.isfinite(sig)) or np.any(sig <= 0):
         raise DataError("sigmas must be finite and > 0")
     return float(np.mean(1.0 - np.exp(-(err * err) / (2.0 * sig * sig))))
 
 
-def accuracy(records: Sequence[EvalRecord]) -> float:
-    """Percentage of exact hits; identical to cumulative_score(records, 0)."""
-    return float(100.0 * np.mean(_errors(records) == 0.0))
+def accuracy(truth, pred) -> float:
+    """Percentage of exact hits; identical to cumulative_score(truth, pred, 0)."""
+    return float(100.0 * np.mean(_errors(truth, pred) == 0.0))
 
 
 def format_report(values: Mapping[str, object]) -> str:

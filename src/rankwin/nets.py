@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rankwin.errors import ConfigError, DataError, NumericalError, ShapeError
-from rankwin.fileio import atomic_open, pack_meta, read_npz, unpack_meta
+from rankwin.fileio import atomic_open, decoding_meta, pack_meta, read_npz, unpack_meta
 
 __all__ = [
     "EncoderSpec",
@@ -385,17 +385,19 @@ def load_checkpoint(path: str, run_id: str | None = None,
     """
     data = read_npz(path)
     meta = unpack_meta(data, path, CHECKPOINT_VERSION, run_id)
-    enc = meta["encoder"]
-    model = RelativeRegressor(
-        EncoderSpec(enc["input_dim"], tuple(enc["hidden_dims"]), enc["output_dim"]),
-        HeadSpec(tuple(meta["head"]["layer_dims"])),
-        seed=meta["seed"],
-    )
+    with decoding_meta(path):
+        enc = meta["encoder"]
+        model = RelativeRegressor(
+            EncoderSpec(enc["input_dim"], tuple(enc["hidden_dims"]), enc["output_dim"]),
+            HeadSpec(tuple(meta["head"]["layer_dims"])),
+            seed=meta["seed"],
+        )
+        step = int(meta["adam_step"]) if meta.get("has_optimizer") else None
     _fill_from(data, "param", model.parameters())
     optimizer = None
-    if meta.get("has_optimizer"):
+    if step is not None:
         optimizer = AdamState.for_model(model)
-        optimizer.step = int(meta["adam_step"])
+        optimizer.step = step
         _fill_from(data, "adam_m", _views(optimizer.m, model._shapes))
         _fill_from(data, "adam_v", _views(optimizer.v, model._shapes))
     return model, optimizer

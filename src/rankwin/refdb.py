@@ -21,7 +21,7 @@ import numpy as np
 from rankwin.data import Dataset, group_by_rank
 from rankwin.errors import (ConfigError, DigestMismatchError, SelectionError,
                             ShapeError)
-from rankwin.fileio import atomic_open, pack_meta, read_npz, unpack_meta
+from rankwin.fileio import atomic_open, decoding_meta, pack_meta, read_npz, unpack_meta
 from rankwin.nets import RelativeRegressor, model_digest
 from rankwin.partition import RankGroup
 from rankwin.windows import (RankRange, RankScale, ScaleKind, SearchWindow,
@@ -361,27 +361,28 @@ def load_database(path: str, expected_digests: dict[str, str] | None = None,
     """
     data = read_npz(path)
     meta = unpack_meta(data, path, DB_VERSION, run_id)
-    digests = dict(meta["digests"])
-    if expected_digests:
-        for tag, expected in expected_digests.items():
-            stored = digests.get(tag)
-            if stored != expected:
-                raise DigestMismatchError(
-                    f"database entry {tag!r} was built for digest {stored}, expected {expected}")
-    kind = ScaleKind(meta["scale_kind"])
-    features = {tag: data[f"feat__{tag}"] for tag in meta["tags"]}
-    tables = {tag: PairTable(data[f"tab__{tag}__ints"], data[f"tab__{tag}__gammas"])
-              for tag in meta["tabled_tags"]}
-    return ReferenceDatabase(
-        ids=tuple(str(s) for s in data["ids"]),
-        ranks=np.asarray(data["ranks"], dtype=np.int64),
-        scale=RankScale(kind, float(meta["tau"])),
-        domain=RankRange(int(meta["domain"][0]), int(meta["domain"][1])),
-        alpha=int(meta["alpha"]),
-        features=features,
-        digests=digests,
-        tables=tables,
-        pool_cap=meta["pool_cap"],
-        pair_cap=meta["pair_cap"],
-        seed=int(meta["seed"]),
-    )
+    with decoding_meta(path):
+        digests = dict(meta["digests"])
+        if expected_digests:
+            for tag, expected in expected_digests.items():
+                stored = digests.get(tag)
+                if stored != expected:
+                    raise DigestMismatchError(f"database entry {tag!r} was built for "
+                                              f"digest {stored}, expected {expected}")
+        kind = ScaleKind(meta["scale_kind"])
+        features = {tag: data[f"feat__{tag}"] for tag in meta["tags"]}
+        tables = {tag: PairTable(data[f"tab__{tag}__ints"], data[f"tab__{tag}__gammas"])
+                  for tag in meta["tabled_tags"]}
+        return ReferenceDatabase(
+            ids=tuple(str(s) for s in data["ids"]),
+            ranks=np.asarray(data["ranks"], dtype=np.int64),
+            scale=RankScale(kind, float(meta["tau"])),
+            domain=RankRange(int(meta["domain"][0]), int(meta["domain"][1])),
+            alpha=int(meta["alpha"]),
+            features=features,
+            digests=digests,
+            tables=tables,
+            pool_cap=meta["pool_cap"],
+            pair_cap=meta["pair_cap"],
+            seed=int(meta["seed"]),
+        )

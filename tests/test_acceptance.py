@@ -23,7 +23,7 @@ from rankwin.engine import OracleRegressor, estimate_rank, oracle_regress, run_g
 from rankwin.experiments import (ExperimentManifest, file_digest,
                                  run_build_refdb, run_eval, run_simulate,
                                  run_train)
-from rankwin.metrics import EvalRecord, accuracy, cumulative_score, epsilon_error
+from rankwin.metrics import accuracy, cumulative_score, epsilon_error
 from rankwin.nets import load_checkpoint
 from rankwin.partition import partition_golden
 from rankwin.refdb import load_database
@@ -246,12 +246,11 @@ def test_reference_selection_scheme_ordering(main_run):
 
 def test_metric_unit_values():
     t0 = time.perf_counter()
-    unit = epsilon_error([EvalRecord("a", 10, 12, sigma=2.0)])
+    unit = epsilon_error([10], [12], [2.0])
     unit_gap = abs(unit - (1.0 - np.exp(-0.5)))
     rng = np.random.default_rng(5)
-    records = [EvalRecord(str(i), int(t), int(p))
-               for i, (t, p) in enumerate(rng.integers(1, 81, size=(1000, 2)))]
-    same = accuracy(records) == cumulative_score(records, 0)
+    truth, pred = rng.integers(1, 81, size=(1000, 2)).T
+    same = accuracy(truth, pred) == cumulative_score(truth, pred, 0)
     elapsed = time.perf_counter() - t0
     report(unit_gap < 1e-12 and same and elapsed < 1.0,
            "soft-error unit point and exact-hit identity",

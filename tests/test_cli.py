@@ -113,6 +113,13 @@ def test_sweep_refuses_a_bad_cell_before_training_any(dataset_path, tmp_path):
     assert not list(tmp_path.glob("sweep/cell_*"))
 
 
+def test_sweep_refuses_a_bad_training_field_before_any_cell(dataset_path, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", dataset_path, "--out-dir", str(out), *FAST,
+                 "--lr", "0", "--cells", "ari:2"]) == 2
+    assert not list(tmp_path.glob("sweep/cell_*"))
+
+
 # ------------------------------------------------------------ error paths
 
 def test_eval_before_train_exits_2(dataset_path, tmp_path):
@@ -177,8 +184,29 @@ def meta_without(key):
     return edit
 
 
+def meta_with(key, value):
+    """A value for ``npz_edit("meta", ...)``: the old meta with ``key`` set to the JSON
+    ``value``; a dotted ``key`` sets a key of a nested object."""
+    def edit(old):
+        meta = json.loads(bytes(old).decode())
+        *outer, last = key.split(".")
+        inner = meta
+        for name in outer:
+            inner = inner[name]
+        inner[last] = value
+        return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return edit
+
+
 REUSE = ["train", "--dataset", "{data}", "--out-dir", "{tmp}/new",
          "--manifest", "{run}/manifest.json"]
+
+
+# stored meta values of the wrong JSON type, by key
+CHECKPOINT_META_TYPOS = [("encoder", "x"), ("seed", "x"), ("head", [1]),
+                         ("encoder.hidden_dims", 5)]
+REFDB_META_TYPOS = [("scale_kind", "foo"), ("digests", [1]), ("domain", 5), ("tau", "x"),
+                    ("alpha", None)]
 
 
 # "{run}" is a copy of the trained run directory; each edit rewrites one file
@@ -221,6 +249,16 @@ REUSE = ["train", "--dataset", "{data}", "--out-dir", "{tmp}/new",
      {"global.npz": npz_edit("meta", meta_without("encoder"))}),
     (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
      {"refdb.npz": npz_edit("meta", meta_without("digests"))}),
+    *[(["eval", "--dataset", "{data}", "--out-dir", "{run}"],
+       {"global.npz": npz_edit("meta", meta_with(key, value))})
+      for key, value in CHECKPOINT_META_TYPOS],
+    *[(["eval", "--dataset", "{data}", "--out-dir", "{run}"],
+       {"refdb.npz": npz_edit("meta", meta_with(key, value))})
+      for key, value in REFDB_META_TYPOS],
+    (["inspect", "--out-dir", "{run}"],
+     {"refdb.npz": npz_edit("meta", meta_with("tabled_tags", 5))}),
+    (["simulate", "--dataset", "{data}", "--out-dir", "{tmp}/new", *FAST,
+      "--epochs", "-1", "--batch-size", "0", "--lr", "0"], {}),
 ], ids=["lr-nan", "noise-nan", "domain-no-colon", "cells-no-tau", "out-dir-is-a-file",
         "manifest-missing-field", "manifest-not-json", "inspect-corrupt-manifest",
         "refdb-not-npz", "checkpoint-truncated", "dataset-not-utf8",
@@ -229,7 +267,10 @@ REUSE = ["train", "--dataset", "{data}", "--out-dir", "{tmp}/new",
         "manifest-pair-cap-0", "max-iter-0", "k-0", "scheme-seed-negative",
         "gen-into-missing-dir", "checkpoint-without-meta", "checkpoint-without-param",
         "refdb-without-ranks", "inspect-refdb-without-ranks", "checkpoint-meta-not-json",
-        "checkpoint-meta-missing-key", "refdb-meta-missing-key"])
+        "checkpoint-meta-missing-key", "refdb-meta-missing-key",
+        *[f"checkpoint-meta-{key}-wrong-type" for key, _ in CHECKPOINT_META_TYPOS],
+        *[f"refdb-meta-{key}-wrong-type" for key, _ in REFDB_META_TYPOS],
+        "inspect-refdb-meta-tabled_tags-wrong-type", "simulate-training-fields-out-of-range"])
 def test_user_errors_exit_2_without_traceback(argv, edits, run_dir, dataset_path, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)

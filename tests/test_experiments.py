@@ -136,6 +136,11 @@ def test_manifest_rejects_other_versions():
     {"scale_kind": "log"},
     {"tau": 2.5},
     {"domain_lo": 16},
+    {"lr": 0.0},
+    {"batch_size": 0},
+    {"epochs": -1},
+    {"alpha": -1},
+    {"triplets_per_instance": 0},
 ])
 def test_manifest_field_validation(bad):
     with pytest.raises(ConfigError):
@@ -342,21 +347,21 @@ def test_convergence_rows_of_pinned_traces():
     noisy, _ = pinned_oracle_trace(0.2)
     cycles = {phase: run_phase(phase, scripted([0.2, -0.34]))[1]
               for phase in ("global", "local")}
-    traces = [(20, noiseless), (20, noisy)]
-    assert _phase_iteration_table(traces + [(30, cycles["global"])], "global", 4) == [
+    truth = np.array([20, 20, 30])
+    assert _phase_iteration_table(truth, [noiseless, noisy, cycles["global"]], "global", 4) == [
         ("global", 1, (4 + 4 + 1) / 3, 0.0),
         ("global", 2, (1 + 2 + 0) / 3, 0.0),
         ("global", 3, 0.0, 0.0),
         ("global", 4, (0 + 1 + 0) / 3, 100.0 * 1 / 3),
     ]
-    assert _phase_iteration_table(traces + [(30, cycles["local"])], "local", 4) == [
+    assert _phase_iteration_table(truth, [noiseless, noisy, cycles["local"]], "local", 4) == [
         ("local", 1, (0 + 0 + 1) / 3, 100.0 * 1 / 3),
         ("local", 2, 0.0, 100.0 * 2 / 3),
         ("local", 3, 0.0, 100.0 * 2 / 3),
         ("local", 4, 0.0, 100.0 * 2 / 3),
     ]
     # a phase that no trace ran has no rows
-    assert _phase_iteration_table([(30, cycles["global"])], "local", 4) == []
+    assert _phase_iteration_table(truth[2:], [cycles["global"]], "local", 4) == []
 
 
 def test_eval_scheme_override_with_prefix(trained_run, dataset_path):
