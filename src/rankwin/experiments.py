@@ -368,9 +368,7 @@ def run_simulate(dataset_path: str, manifest: ExperimentManifest, out_dir: str,
     if len(train_ds) == 0 or len(eval_ds) == 0:
         raise ConfigError(f"dataset needs nonempty train and {split!r} splits")
     write_manifest(manifest, out_dir)
-    db = build_database(train_ds, {TAG_RAW: None}, manifest.scale, manifest.domain,
-                        alpha=manifest.alpha, pool_cap=manifest.pool_cap,
-                        pair_cap=manifest.pair_cap, seed=manifest.seed)
+    db = build_database(train_ds, {TAG_RAW: None}, manifest.scale, manifest.domain)
     oracle = OracleRegressor(noise_std=manifest.oracle_noise_std, seed=manifest.seed)
     return _score_split(out_dir, manifest, split, eval_ds, lambda i: estimate_rank(
         eval_ds.features[i], db=db, scale=manifest.scale,
@@ -386,10 +384,13 @@ def run_sweep(dataset_path: str, out_dir: str, base: ExperimentManifest,
         raise ConfigError("sweep needs at least one (scale, tau) cell")
     # every cell is checked before the first one trains
     manifests = [dataclasses.replace(base, scale_kind=kind, tau=tau) for kind, tau in cells]
+    names = [f"cell_{kind}_{tau:g}" for kind, tau in cells]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"sweep cells must have distinct directories, got {names}")
     os.makedirs(out_dir, exist_ok=True)
     rows = ["run_id,scale,tau,scheme," + ",".join(METRICS_COLUMNS[2:])]
-    for (kind, tau), manifest in zip(cells, manifests):
-        cell_dir = os.path.join(out_dir, f"cell_{kind}_{tau:g}")
+    for (kind, tau), manifest, name in zip(cells, manifests, names):
+        cell_dir = os.path.join(out_dir, name)
         run_train(dataset_path, manifest, cell_dir)
         run_build_refdb(dataset_path, cell_dir)
         values = run_eval(dataset_path, cell_dir, split=split)

@@ -149,8 +149,8 @@ class RelativeRegressor:
     """Predicts where an input sits between two references, in [-1, 1]."""
 
     def __init__(self, encoder: EncoderSpec, head: HeadSpec | None = None, seed: int = 0):
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
         self.encoder_spec = encoder
         self.head_spec = head if head is not None else HeadSpec()
         self.seed = seed

@@ -24,8 +24,8 @@ from rankwin.errors import (ConfigError, DigestMismatchError, SelectionError,
 from rankwin.fileio import atomic_open, decoding_meta, pack_meta, read_npz, unpack_meta
 from rankwin.nets import RelativeRegressor, model_digest
 from rankwin.partition import RankGroup
-from rankwin.windows import (RankRange, RankScale, ScaleKind, SearchWindow,
-                             make_window, relative_rank_array)
+from rankwin.windows import (RankRange, RankScale, SearchWindow, make_window,
+                             relative_rank_array)
 
 __all__ = [
     "SelectionKind",
@@ -44,7 +44,7 @@ __all__ = [
     "local_tag",
 ]
 
-DB_VERSION = 1
+DB_VERSION = 2
 TAG_GLOBAL = "global"
 TAG_RAW = "raw"
 IDENTITY_DIGEST = "identity"
@@ -115,19 +115,15 @@ class PairTable:
 
 @dataclass
 class ReferenceDatabase:
-    """Training instances plus per-model embeddings and window tables."""
+    """Training instances plus per-model embeddings and window tables, all that
+    serving reads; the settings the tables were built with live in the manifest."""
 
     ids: tuple[str, ...]
     ranks: np.ndarray
-    scale: RankScale
     domain: RankRange
-    alpha: int
     features: dict[str, np.ndarray]
     digests: dict[str, str]
     tables: dict[str, PairTable]
-    pool_cap: int | None
-    pair_cap: int | None
-    seed: int
 
     def __post_init__(self) -> None:
         # positions sorted by id give deterministic tie-breaks everywhere
@@ -178,8 +174,9 @@ def _resolve_endpoints(window: SearchWindow, populated: np.ndarray) -> tuple[int
 
 
 def _score_window(model: RelativeRegressor, encoded: np.ndarray, db: ReferenceDatabase,
-                  populated: np.ndarray, window: SearchWindow,
-                  tag_key: int) -> tuple[list[int], list[float]] | None:
+                  populated: np.ndarray, window: SearchWindow, tag_key: int,
+                  scale: RankScale, alpha: int, pool_cap: int | None, pair_cap: int | None,
+                  seed: int) -> tuple[list[int], list[float]] | None:
     """One table row (ints, gammas) for a window, or None if no pair scores."""
     resolved = _resolve_endpoints(window, populated)
     if resolved is None:
@@ -187,20 +184,20 @@ def _score_window(model: RelativeRegressor, encoded: np.ndarray, db: ReferenceDa
     low_rank, high_rank = resolved
     lows = db.instances_at(low_rank)
     highs = db.instances_at(high_rank)
-    pool = np.nonzero((db.ranks >= low_rank - db.alpha) & (db.ranks <= high_rank + db.alpha))[0]
-    if db.pool_cap is not None and len(pool) > db.pool_cap:
-        rng = np.random.default_rng([db.seed, _STREAM_POOL, tag_key, window.center])
-        pool = np.sort(rng.choice(pool, size=db.pool_cap, replace=False))
+    pool = np.nonzero((db.ranks >= low_rank - alpha) & (db.ranks <= high_rank + alpha))[0]
+    if pool_cap is not None and len(pool) > pool_cap:
+        rng = np.random.default_rng([seed, _STREAM_POOL, tag_key, window.center])
+        pool = np.sort(rng.choice(pool, size=pool_cap, replace=False))
     total_pairs = len(lows) * len(highs)
-    if db.pair_cap is not None and total_pairs > db.pair_cap:
-        rng = np.random.default_rng([db.seed, _STREAM_PAIRS, tag_key, window.center])
-        flat = np.sort(rng.choice(total_pairs, size=db.pair_cap, replace=False))
+    if pair_cap is not None and total_pairs > pair_cap:
+        rng = np.random.default_rng([seed, _STREAM_PAIRS, tag_key, window.center])
+        flat = np.sort(rng.choice(total_pairs, size=pair_cap, replace=False))
     else:
         flat = np.arange(total_pairs)
     yi = lows[flat // len(highs)]
     yj = highs[flat % len(highs)]
     rho_hat = model.regress_grid(encoded[pool], encoded[yi], encoded[yj])
-    rho_true = relative_rank_array(db.ranks[pool], low_rank, high_rank, db.scale)
+    rho_true = relative_rank_array(db.ranks[pool], low_rank, high_rank, scale)
     err = np.abs(rho_hat - rho_true[None, :])
     include = (pool[None, :] != yi[:, None]) & (pool[None, :] != yj[:, None])
     counts = include.sum(axis=1)
@@ -234,10 +231,8 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
     features: dict[str, np.ndarray] = {}
     digests: dict[str, str] = {}
     tables: dict[str, PairTable] = {}
-    db = ReferenceDatabase(
-        ids=tuple(dataset.ids), ranks=dataset.ranks.copy(), scale=scale,
-        domain=domain, alpha=alpha, features=features, digests=digests,
-        tables=tables, pool_cap=pool_cap, pair_cap=pair_cap, seed=seed)
+    db = ReferenceDatabase(ids=tuple(dataset.ids), ranks=dataset.ranks.copy(), domain=domain,
+                           features=features, digests=digests, tables=tables)
     populated = db.populated_ranks()
     local_groups = {local_tag(i): group for i, group in enumerate(groups or ())}
     for tag, model in models.items():
@@ -264,7 +259,8 @@ def build_database(dataset: Dataset, models: dict[str, RelativeRegressor | None]
             window_domain = domain
         tag_key = _tag_key(tag)
         scored = (_score_window(model, encoded, db, populated,
-                                make_window(center, scale, window_domain), tag_key)
+                                make_window(center, scale, window_domain), tag_key,
+                                scale, alpha, pool_cap, pair_cap, seed)
                   for center in centers)
         rows = [row for row in scored if row is not None]
         if not rows:
@@ -321,13 +317,7 @@ def knn_ranks(db: ReferenceDatabase, feature: np.ndarray, k: int,
 def _meta_dict(db: ReferenceDatabase) -> dict:
     return {
         "format_version": DB_VERSION,
-        "scale_kind": db.scale.kind.value,
-        "tau": db.scale.tau,
         "domain": [db.domain.lo, db.domain.hi],
-        "alpha": db.alpha,
-        "pool_cap": db.pool_cap,
-        "pair_cap": db.pair_cap,
-        "seed": db.seed,
         "tags": list(db.features),
         "digests": db.digests,
         "tabled_tags": list(db.tables),
@@ -369,20 +359,14 @@ def load_database(path: str, expected_digests: dict[str, str] | None = None,
                 if stored != expected:
                     raise DigestMismatchError(f"database entry {tag!r} was built for "
                                               f"digest {stored}, expected {expected}")
-        kind = ScaleKind(meta["scale_kind"])
         features = {tag: data[f"feat__{tag}"] for tag in meta["tags"]}
         tables = {tag: PairTable(data[f"tab__{tag}__ints"], data[f"tab__{tag}__gammas"])
                   for tag in meta["tabled_tags"]}
         return ReferenceDatabase(
             ids=tuple(str(s) for s in data["ids"]),
             ranks=np.asarray(data["ranks"], dtype=np.int64),
-            scale=RankScale(kind, float(meta["tau"])),
             domain=RankRange(int(meta["domain"][0]), int(meta["domain"][1])),
-            alpha=int(meta["alpha"]),
             features=features,
             digests=digests,
             tables=tables,
-            pool_cap=meta["pool_cap"],
-            pair_cap=meta["pair_cap"],
-            seed=int(meta["seed"]),
         )

@@ -108,9 +108,11 @@ def test_sweep_prints_the_grid(dataset_path, tmp_path, capsys):
 
 def test_sweep_refuses_a_bad_cell_before_training_any(dataset_path, tmp_path):
     out = tmp_path / "sweep"
-    assert main(["sweep", "--dataset", dataset_path, "--out-dir", str(out), *FAST,
-                 "--cells", "geo:0.1,ari:2.5"]) == 2
-    assert not list(tmp_path.glob("sweep/cell_*"))
+    # a fractional ari tau, then two pairs of cells that would share a directory
+    for cells in ("geo:0.1,ari:2.5", "geo:0.2,geo:0.2000001", "ari:2,ari:2"):
+        assert main(["sweep", "--dataset", dataset_path, "--out-dir", str(out), *FAST,
+                     "--cells", cells]) == 2
+        assert not list(tmp_path.glob("sweep/cell_*"))
 
 
 def test_sweep_refuses_a_bad_training_field_before_any_cell(dataset_path, tmp_path):
@@ -205,8 +207,7 @@ REUSE = ["train", "--dataset", "{data}", "--out-dir", "{tmp}/new",
 # stored meta values of the wrong JSON type, by key
 CHECKPOINT_META_TYPOS = [("encoder", "x"), ("seed", "x"), ("head", [1]),
                          ("encoder.hidden_dims", 5)]
-REFDB_META_TYPOS = [("scale_kind", "foo"), ("digests", [1]), ("domain", 5), ("tau", "x"),
-                    ("alpha", None)]
+REFDB_META_TYPOS = [("digests", [1]), ("domain", 5)]
 
 
 # "{run}" is a copy of the trained run directory; each edit rewrites one file
@@ -249,6 +250,8 @@ REFDB_META_TYPOS = [("scale_kind", "foo"), ("digests", [1]), ("domain", 5), ("ta
      {"global.npz": npz_edit("meta", meta_without("encoder"))}),
     (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
      {"refdb.npz": npz_edit("meta", meta_without("digests"))}),
+    (["eval", "--dataset", "{data}", "--out-dir", "{run}"],
+     {"refdb.npz": npz_edit("meta", meta_with("format_version", 1))}),
     *[(["eval", "--dataset", "{data}", "--out-dir", "{run}"],
        {"global.npz": npz_edit("meta", meta_with(key, value))})
       for key, value in CHECKPOINT_META_TYPOS],
@@ -267,7 +270,7 @@ REFDB_META_TYPOS = [("scale_kind", "foo"), ("digests", [1]), ("domain", 5), ("ta
         "manifest-pair-cap-0", "max-iter-0", "k-0", "scheme-seed-negative",
         "gen-into-missing-dir", "checkpoint-without-meta", "checkpoint-without-param",
         "refdb-without-ranks", "inspect-refdb-without-ranks", "checkpoint-meta-not-json",
-        "checkpoint-meta-missing-key", "refdb-meta-missing-key",
+        "checkpoint-meta-missing-key", "refdb-meta-missing-key", "refdb-format-1",
         *[f"checkpoint-meta-{key}-wrong-type" for key, _ in CHECKPOINT_META_TYPOS],
         *[f"refdb-meta-{key}-wrong-type" for key, _ in REFDB_META_TYPOS],
         "inspect-refdb-meta-tabled_tags-wrong-type", "simulate-training-fields-out-of-range"])

@@ -485,6 +485,21 @@ def test_checkpoint_of_unknown_format_version_is_refused(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+def test_checkpoint_with_a_seed_that_is_no_int_is_refused(tmp_path, seed):
+    with pytest.raises(ConfigError, match="seed"):
+        RelativeRegressor(ENC, seed=seed)
+    path = os.path.join(tmp_path, "model.npz")
+    save_checkpoint(small_model(), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    arrays["meta"] = pack_meta({**meta, "seed": seed})
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match="seed"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("owner, key", [(None, "encoder"), ("encoder", "hidden_dims")])
 def test_checkpoint_meta_missing_key_names_file_and_key(tmp_path, owner, key):
     path = os.path.join(tmp_path, "model.npz")

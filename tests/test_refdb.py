@@ -351,9 +351,7 @@ def test_save_load_round_trip(tmp_path, small_db):
     loaded = load_database(path, {TAG_GLOBAL: model_digest(model)})
     assert loaded.ids == db.ids
     assert np.array_equal(loaded.ranks, db.ranks)
-    assert loaded.scale == db.scale
     assert loaded.domain == db.domain
-    assert loaded.alpha == db.alpha
     assert loaded.digests == db.digests
     assert np.array_equal(loaded.features[TAG_GLOBAL], db.features[TAG_GLOBAL])
     loaded_table, table = loaded.tables[TAG_GLOBAL], db.tables[TAG_GLOBAL]
@@ -361,6 +359,16 @@ def test_save_load_round_trip(tmp_path, small_db):
     assert np.array_equal(loaded_table.ints, table.ints)
     assert np.array_equal(loaded_table.gammas, table.gammas)
     assert loaded_table.rows == table.rows
+
+
+def test_saved_meta_holds_only_what_serving_reads(tmp_path, small_db):
+    _, _, db = small_db
+    path = os.path.join(tmp_path, "refdb.npz")
+    save_database(db, path, run_id="abc")
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode())
+    assert set(meta) == {"format_version", "domain", "tags", "digests", "tabled_tags", "run_id"}
+    assert meta["format_version"] == 2
 
 
 def test_load_rejects_stale_digest(tmp_path, small_db):
@@ -380,7 +388,9 @@ def test_load_rejects_unknown_format_version(tmp_path, small_db):
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
-    arrays["meta"] = pack_meta({**meta, "format_version": 99})
-    np.savez(path, **arrays)
-    with pytest.raises(DataError, match="format version 99"):
-        load_database(path)
+    # format 1 also stored the build settings that the manifest now owns
+    for version in (1, 99):
+        arrays["meta"] = pack_meta({**meta, "format_version": version})
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match=f"format version {version}, expected 2"):
+            load_database(path)
